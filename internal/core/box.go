@@ -8,7 +8,6 @@ import (
 	"snet/internal/journal"
 	"snet/internal/record"
 	"snet/internal/rtype"
-	"snet/internal/stream"
 )
 
 // BoxCall is the context handed to a box function for one triggering record.
@@ -29,9 +28,14 @@ type BoxCall struct {
 	// Matched is the input variant the record was matched against.
 	Matched *rtype.Variant
 
-	env      *Env
-	box      *boxImpl
+	env *Env
+	box *boxImpl
+	// pending queues what leaves the stage machine the call context belongs
+	// to: a box's emissions until the execution is over and, when the box
+	// is not the machine's last stage, they move on (see machine); base is
+	// where the current execution's emissions start.
 	pending  []*record.Record
+	base     int
 	consumeF []record.Sym
 	consumeT []record.Sym
 	emitted  int
@@ -155,52 +159,25 @@ type boxImpl struct {
 // record.
 func NewBox(name string, sig rtype.Signature, fn BoxFunc) *Entity {
 	b := &boxImpl{name: name, sig: sig, fn: fn}
-	return &Entity{
-		name: name,
-		sig:  sig,
-		kind: kindBox,
-		box:  b,
-		spawn: func(env *Env, in, out *stream.Link) {
-			env.start(func() {
-				defer env.closeLink(out)
-				call, run := newBoxRunner(env, b)
-				for {
-					r, ok := env.recv(in)
-					if !ok {
-						return
-					}
-					if !r.IsData() {
-						if !env.send(out, r) {
-							return
-						}
-						continue
-					}
-					if !b.invoke(call, run, r, out) {
-						return
-					}
-				}
-			})
-		},
-	}
+	e := &Entity{name: name, sig: sig, kind: kindBox}
+	e.setStages([]fuseStage{{kind: stageBox, ent: e, box: b}})
+	return e
 }
 
-// newBoxRunner builds the reusable per-instance call context and execution
-// closure: boxes are sequential per instance, so both (including the
-// pending-output buffer) are recycled across invocations rather than
-// allocated per record. Shared by the standalone box entity and by fused
-// chain stages (each fused box stage is one instance).
-func newBoxRunner(env *Env, b *boxImpl) (*BoxCall, func()) {
-	call := &BoxCall{env: env, box: b}
-	call.pending = call.pendArr[:0]
-	run := func() {
+// boxRunner returns the execution closure of a reusable call context: boxes
+// are sequential per instance, so the context and the closure are recycled
+// across invocations rather than allocated per record. The closure runs
+// whichever box call.box names — a stage machine points it at the stage
+// being executed.
+func boxRunner(call *BoxCall) func() {
+	return func() {
 		defer func() {
 			if p := recover(); p != nil {
 				call.err = &panicError{val: p}
 			}
 		}()
-		call.err = b.fn(call)
+		call.err = call.box.fn(call)
 	}
-	return call, run
 }
 
 // panicError is a recovered box panic, kept distinguishable from an
@@ -211,14 +188,14 @@ type panicError struct{ val any }
 func (p *panicError) Error() string { return fmt.Sprintf("box panicked: %v", p.val) }
 
 // execute runs one box execution for record r, leaving the emissions in
-// call.pending — matching, platform scheduling (local, cancellable, or
-// remote via RemotePlatform), type checking and flow inheritance, but not
-// delivery. ok is false when the instance was stopped before the body ran
-// (the caller must unwind); matched is false when r matched no input
-// variant (reported, r recycled, nothing pending). On matched, call.In
-// stays set until the caller has flushed call.pending and decided whether
-// r was re-emitted. invoke flushes downstream; fused chain stages hand the
-// emissions to the next stage in memory.
+// call.pending[call.base:] — matching, platform scheduling (local,
+// cancellable, or remote via RemotePlatform), type checking and flow
+// inheritance, but not delivery. ok is false when the instance was stopped
+// before the body ran (the caller must unwind); matched is false when r
+// matched no input variant (reported, r recycled, nothing pending). On
+// matched, call.In stays set until the caller has decided whether r was
+// re-emitted (machine.boxCall; the emissions then move on to the next
+// stage, or out).
 func (b *boxImpl) execute(call *BoxCall, run func(), r *record.Record) (matched, ok bool) {
 	env := call.env
 	v, score := b.sig.In.BestMatch(r)
@@ -289,9 +266,9 @@ func boxErrCategory(err error) ErrorCategory {
 // (Attempts >= 1), a failed attempt's partial emissions are discarded and
 // the box re-runs against the unchanged input after a backoff; once the
 // budget is exhausted the record moves to the dead-letter queue and dead is
-// true — call.pending is empty and r now belongs to the queue, the caller
-// must neither send nor recycle. Without retry, a failure is reported and
-// the partial emissions flow (the historical behaviour).
+// true — no emission of r is pending and r now belongs to the queue, the
+// caller must neither send nor recycle. Without retry, a failure is
+// reported and the partial emissions flow (the historical behaviour).
 func (b *boxImpl) attempt(call *BoxCall, run func(), r *record.Record) (matched, ok, dead bool) {
 	env := call.env
 	policy := env.opts.BoxRetry
@@ -303,13 +280,13 @@ func (b *boxImpl) attempt(call *BoxCall, run func(), r *record.Record) (matched,
 		err := call.err
 		call.err = nil
 		if err == nil {
-			env.trackFork(r, len(call.pending))
+			env.trackFork(r, len(call.pending)-call.base)
 			return true, true, false
 		}
 		cat := boxErrCategory(err)
 		if policy.Attempts <= 0 {
 			env.reportRT(b.name, cat, r.String(), err)
-			env.trackFork(r, len(call.pending))
+			env.trackFork(r, len(call.pending)-call.base)
 			return true, true, false
 		}
 		// Failed under retry: the attempt's partial emissions are
@@ -337,60 +314,29 @@ func (b *boxImpl) attempt(call *BoxCall, run func(), r *record.Record) (matched,
 // record survives even when the body re-emitted it — it is the retry's (or
 // the dead letter's) subject.
 func (b *boxImpl) discardAttempt(call *BoxCall, r *record.Record) {
-	for _, o := range call.pending {
+	em := call.pending[call.base:]
+	for _, o := range em {
 		if o != r {
 			recycle(o)
 		}
 	}
-	clear(call.pending)
-	call.pending = call.pending[:0]
+	clear(em)
+	call.pending = call.pending[:call.base]
 	call.emitted = 0
 }
 
 // finishCall inspects a completed execution's emissions for the input
 // record itself (identity-style bodies may re-emit it) and resets the call
-// context for the next invocation without retaining record references. The
-// emissions must already have been moved out of call.pending (sent, or
-// copied into the next fused stage's input).
+// context for the next invocation. The emissions stay in call.pending.
 func finishCall(call *BoxCall, r *record.Record) (reemitted bool) {
-	for _, o := range call.pending {
+	for _, o := range call.pending[call.base:] {
 		if o == r {
 			reemitted = true
 		}
 	}
-	clear(call.pending)
-	call.pending = call.pending[:0]
 	call.In = nil
 	call.Matched = nil
 	return reemitted
-}
-
-// invoke runs one box execution for record r, reusing the instance's call
-// context and execution closure, and flushes the emissions downstream. It
-// reports false when the instance was stopped (while waiting for a CPU
-// slot or flushing output), in which case the box goroutine must unwind.
-func (b *boxImpl) invoke(call *BoxCall, run func(), r *record.Record, out *stream.Link) bool {
-	matched, ok, dead := b.attempt(call, run, r)
-	if !ok {
-		return false
-	}
-	if !matched || dead {
-		return true
-	}
-	env := call.env
-	// Flush outside the platform slot: downstream backpressure must not
-	// hold a node CPU. The whole emission set goes out in one link
-	// operation (SendMany batches it under a single lock), and the
-	// pending buffer stays the box's — records are appended into the
-	// link's own batches. The box consumed its input, so r is dead
-	// afterwards and returns to the pool — unless the body emitted the
-	// input record itself.
-	delivered := env.sendMany(out, call.pending)
-	reemitted := finishCall(call, r)
-	if !reemitted && delivered {
-		recycle(r)
-	}
-	return delivered
 }
 
 // CallBox runs a box body once against input as a detached execution: no

@@ -11,7 +11,7 @@ import (
 
 // Serial builds the serial composition A..B: the output stream of a becomes
 // the input stream of b, so the two operate in pipeline mode. Identity
-// operands, adjacent stateless stages and nested serial nests are taken
+// operands, adjacent fusable stages and nested serial nests are taken
 // apart by the instantiation-time optimizer (see Optimize), not here: the
 // constructor records exactly what was written, so OptimizeOff spawns the
 // tree as constructed.
@@ -157,14 +157,8 @@ func choiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *Ent
 					}
 					continue
 				}
-				best := pickBranch(branches, tree, st, cursors, r)
+				best := pickBranch(env, e, st, cursors, r)
 				if best < 0 {
-					env.reportRT(e.Name(), ErrCatNoMatch, r.String(), fmt.Errorf(
-						"record %s matches no branch input type", r))
-					// The dropped record is dead; its delivery completes
-					// here. Reclaim it.
-					env.trackDrop(r)
-					recycle(r)
 					continue
 				}
 				if st[best].in == nil {
@@ -272,15 +266,25 @@ func (n *selNode) pick(st []branchState, cursors []int) int {
 	}
 }
 
-// pickBranch scores every leaf once (BestMatch per branch, cached in st)
-// and resolves dispatch through the selector tree. Shared by Choice and
-// DetChoice.
-func pickBranch(branches []*Entity, tree *selNode, st []branchState, cursors []int, r *record.Record) int {
-	for i, b := range branches {
+// pickBranch is choice dispatch, whole: score every leaf of e once
+// (BestMatch per branch, cached in st), resolve the winner through e's
+// selector tree, and — when nothing matches — report the record against e,
+// complete its delivery (the drop is sanctioned), reclaim it and return -1.
+// The one implementation under the Choice and DetChoice dispatcher
+// goroutines and the in-stack choice stage of a fused tree.
+func pickBranch(env *Env, e *Entity, st []branchState, cursors []int, r *record.Record) int {
+	for i, b := range e.kids {
 		_, s := b.sig.In.BestMatch(r)
 		st[i].score = s
 	}
-	return tree.pick(st, cursors)
+	best := e.selTree.pick(st, cursors)
+	if best < 0 {
+		env.reportRT(e.Name(), ErrCatNoMatch, r.String(), fmt.Errorf(
+			"record %s matches no branch input type", r))
+		env.trackDrop(r)
+		recycle(r)
+	}
+	return best
 }
 
 // combName renders a combinator name like (a|b|c) lazily.
@@ -308,19 +312,29 @@ func combName(branches []*Entity, sep string) string {
 // the star happened to be spawned on. Records crossing into and out of a
 // remotely placed replica are accounted against the platform's transfer
 // model, hop by hop.
-func Star(a *Entity, exit *rtype.Pattern) *Entity {
+func Star(a *Entity, exit *rtype.Pattern) *Entity { return starEnt(a, exit, false) }
+
+// starEnt builds the star. With inline set — by the optimizer, through the
+// rebuild hook, when the operand is a stage tree — an unfolding does not
+// spawn the operand: the tap runs it in its own stack, so the unfolding is
+// one goroutine and one link (to the next tap) whatever the operand holds.
+func starEnt(a *Entity, exit *rtype.Pattern, inline bool) *Entity {
 	inT := a.sig.In.Union(rtype.NewType(exit.Variant))
 	return &Entity{
 		nameFn: func() string { return fmt.Sprintf("(%s*%s)", a.Name(), exit) },
 		sig:    rtype.NewSignature(inT, rtype.NewType(exit.Variant)),
 		kids:   []*Entity{a},
+		kind:   kindStar,
+		inline: inline,
 		// Records only leave through the exit tap, so the output type
 		// holds structurally even when the operand's does not.
 		detDepth: a.detDepth,
-		rebuild:  func(kids []*Entity) *Entity { return Star(kids[0], exit) },
+		rebuild: func(kids []*Entity) *Entity {
+			return starEnt(kids[0], exit, kids[0].stages != nil)
+		},
 		spawn: func(env *Env, in, out *stream.Link) {
 			coll := newCollector(env, out, 1)
-			env.start(func() { starStage(env, a, exit, in, coll, 0, env.node) })
+			env.start(func() { starStage(env, a, exit, inline, in, coll, 0, env.node) })
 		},
 	}
 }
@@ -331,13 +345,21 @@ func Star(a *Entity, exit *rtype.Pattern) *Entity {
 // arrives. inNode is the node the stage's input records are produced on
 // (the previous replica's placement); records it receives from there, and
 // records it dispatches to a replica placed elsewhere, are charged to the
-// platform's transfer model.
-func starStage(env *Env, a *Entity, exit *rtype.Pattern, in *stream.Link, coll *collector, depth, inNode int) {
+// platform's transfer model — the same charges whether the replica is
+// spawned or runs inline (its boxes execute on the replica's node either
+// way).
+func starStage(env *Env, a *Entity, exit *rtype.Pattern, inline bool, in *stream.Link, coll *collector, depth, inNode int) {
 	defer coll.done()
-	var instIn *stream.Link
+	// From the first non-exit record on the replica exists: spawned behind
+	// instIn, or run here as machine m. Either way its output is instOut,
+	// the next tap's input.
+	var instIn, instOut *stream.Link
+	var m *machine
 	instNode := env.node
 	defer func() {
-		if instIn != nil {
+		if m != nil {
+			m.close(instOut)
+		} else if instIn != nil {
 			env.closeLink(instIn)
 		}
 	}()
@@ -357,21 +379,29 @@ func starStage(env *Env, a *Entity, exit *rtype.Pattern, in *stream.Link, coll *
 			}
 			continue
 		}
-		if instIn == nil {
-			instIn = env.newLink()
-			instOut := env.newLink()
+		if instOut == nil {
 			instEnv := env
 			if env.dynamicPlacer() != nil {
 				var scratch []int
 				instNode = env.place(depth, &scratch)
 				instEnv = env.At(instNode)
 			}
-			a.spawn(instEnv, instIn, instOut)
+			instOut = env.newLink()
+			if inline {
+				m = newMachine(instEnv, a)
+			} else {
+				instIn = env.newLink()
+				a.spawn(instEnv, instIn, instOut)
+			}
 			coll.add(1)
-			env.start(func() { starStage(env, a, exit, instOut, coll, depth+1, instNode) })
+			env.start(func() { starStage(env, a, exit, inline, instOut, coll, depth+1, instNode) })
 		}
 		env.transfer(env.node, instNode, r)
-		if !env.send(instIn, r) {
+		if m != nil {
+			if !m.feed(r, instOut) {
+				return
+			}
+		} else if !env.send(instIn, r) {
 			return
 		}
 	}

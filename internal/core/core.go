@@ -406,6 +406,16 @@ func (e *Env) sendMany(out *stream.Link, rs []*record.Record) bool {
 	return out.SendMany(rs, e.done)
 }
 
+// stopped reports whether the instance has been aborted.
+func (e *Env) stopped() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // recv takes the next record from in, giving up when the instance is
 // stopped. Stop promptness is batch-granular: a stopped instance finishes
 // the batch it already holds (at most BatchSize records) and gives up at
@@ -566,11 +576,11 @@ func (s *errSink) report() ErrorReport {
 type SpawnFunc func(env *Env, in, out *stream.Link)
 
 // entityKind discriminates what an Entity is, so the network optimizer can
-// rewrite trees structurally (flatten serial/choice nests, fuse filter and
-// box runs, elide identities) without per-combinator knowledge leaking out
-// of the constructors. kindOpaque covers everything the optimizer treats as
-// a black box (stars, splits, placement, observers, feedback); such nodes
-// still participate in optimization through their rebuild hook.
+// rewrite trees structurally (flatten serial/choice nests, fuse stage runs,
+// elide identities) without per-combinator knowledge leaking out of the
+// constructors. kindOpaque covers everything the optimizer treats as a
+// black box (splits, placement, observers, feedback); such nodes still
+// participate in optimization through their rebuild hook.
 type entityKind uint8
 
 const (
@@ -582,7 +592,8 @@ const (
 	kindSerial    // n-ary serial chain; kids are the stages in order
 	kindChoice    // n-ary nondeterministic choice; kids are the leaves
 	kindDetChoice // n-ary deterministic choice; kids are the leaves
-	kindFused     // optimizer-built single-goroutine stage chain
+	kindFused     // optimizer-built single-goroutine stage tree
+	kindStar      // serial replication; rebuild inlines a stage-tree operand
 )
 
 // Entity is a SISO network component: a box, filter, synchrocell, or a
@@ -609,16 +620,17 @@ type Entity struct {
 	// observe, feedback), so their operands still get optimized.
 	rebuild func(kids []*Entity) *Entity
 
-	// rules is the filter payload (kindFilter): the compiled rule set,
-	// shared with fused entities so a fused filter stage is bit-identical
-	// to the standalone one.
-	rules []compiledRule
-	// box is the box payload (kindBox), shared with fused entities.
-	box *boxImpl
-	// stages is the fused-chain payload (kindFused): the flattened stage
-	// list a single goroutine threads each record through. kids keeps the
-	// original parts for Describe.
+	// stages is the stage tree a single goroutine threads each record
+	// through, with layout sizing its per-instantiation state (see
+	// fuseStage). Boxes, filters and synchrocells carry their one-stage
+	// tree; a fused entity (kindFused) carries the concatenation and
+	// nesting of its parts' trees, and keeps the parts as kids.
 	stages []fuseStage
+	layout stageLayout
+	// inline (kindStar) makes every unfolding run the operand's stage tree
+	// inside its tap goroutine instead of spawning it. Only the optimizer
+	// sets it.
+	inline bool
 	// selTree/selCursors drive choice dispatch (kindChoice/kindDetChoice):
 	// the selector tree reproduces nested round-robin tie-breaking over
 	// the flattened leaf list; selCursors is the number of cursor slots a
@@ -686,18 +698,40 @@ func (e *Entity) Spawn(env *Env, in, out *stream.Link) {
 }
 
 // Describe renders the entity tree with names and signatures, one entity
-// per line, indented by depth. It is used by the snetc command.
+// per line, indented by depth. Under a fused entity the lines are its stage
+// tree — what the one goroutine executes in its own stack: each stage with
+// its kind, a choice stage's branches marked "|" with their stages below.
+// It is used by the snetc command.
 func (e *Entity) Describe() string {
 	var b []byte
-	var walk func(ent *Entity, depth int)
-	walk = func(ent *Entity, depth int) {
+	line := func(depth int, prefix string, ent *Entity) {
 		for i := 0; i < depth; i++ {
 			b = append(b, ' ', ' ')
 		}
+		b = append(b, prefix...)
 		b = append(b, ent.Name()...)
 		b = append(b, "  :: "...)
 		b = append(b, ent.sig.String()...)
 		b = append(b, '\n')
+	}
+	var stages func(ss []fuseStage, depth int)
+	stages = func(ss []fuseStage, depth int) {
+		for i := range ss {
+			s := &ss[i]
+			line(depth, s.kind.String()+" ", s.ent)
+			for j, br := range s.branches {
+				line(depth+1, "| ", s.ent.kids[j])
+				stages(br, depth+2)
+			}
+		}
+	}
+	var walk func(ent *Entity, depth int)
+	walk = func(ent *Entity, depth int) {
+		line(depth, "", ent)
+		if ent.kind == kindFused {
+			stages(ent.stages, depth+1)
+			return
+		}
 		for _, k := range ent.kids {
 			walk(k, depth+1)
 		}

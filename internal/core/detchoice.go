@@ -137,12 +137,8 @@ func detChoiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *
 					seq++
 					continue
 				}
-				best := pickBranch(branches, tree, st, cursors, r)
+				best := pickBranch(env, e, st, cursors, r)
 				if best < 0 {
-					env.reportRT(e.Name(), ErrCatNoMatch, r.String(), fmt.Errorf(
-						"record %s matches no branch input type", r))
-					env.trackDrop(r)
-					recycle(r)
 					continue
 				}
 				if st[best].in == nil {

@@ -244,12 +244,7 @@ func (e *Env) deadLetter(entity string, r *record.Record, attempts int, err erro
 // the instance is stopped. A non-positive delay only polls for stop.
 func (e *Env) retryWait(d time.Duration) bool {
 	if d <= 0 {
-		select {
-		case <-e.done:
-			return false
-		default:
-			return true
-		}
+		return !e.stopped()
 	}
 	t := e.opts.BoxRetry.Clock.Timer(d)
 	defer t.Stop()

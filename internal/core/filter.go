@@ -137,95 +137,21 @@ func NewFilter(name string, rules ...FilterRule) *Entity {
 	for i, rule := range rules {
 		compiled[i] = compileRule(rule)
 	}
-	e := &Entity{
-		name:  name,
-		sig:   rtype.NewSignature(inT, outT),
-		kind:  kindFilter,
-		rules: compiled,
-	}
+	e := &Entity{name: name, sig: rtype.NewSignature(inT, outT), kind: kindFilter}
 	if name == "" {
 		// The S-Net-ish rendering of the rules is pure diagnostics; defer
 		// building it until someone asks.
 		e.nameFn = func() string { return describeFilter(rules) }
 	}
-	e.spawn = func(env *Env, in, out *stream.Link) {
-		env.start(func() {
-			defer env.closeLink(out)
-			// One reusable emission buffer per instance: a rule's outputs
-			// leave as a single link operation, so a multi-template rule
-			// (one input record fanning into several outputs) travels
-			// downstream as one batch.
-			var pending []*record.Record
-			for {
-				r, ok := env.recv(in)
-				if !ok {
-					return
-				}
-				if !r.IsData() {
-					if !env.send(out, r) {
-						return
-					}
-					continue
-				}
-				delivered := false
-				pending, delivered = applyFilter(env, e, compiled, r, out, pending[:0])
-				if !delivered {
-					return
-				}
-			}
-		})
-	}
+	e.setStages([]fuseStage{{kind: stageFilter, ent: e, rules: compiled}})
 	return e
 }
 
-// applyFilter processes one record through the first matching rule. A
-// single-output rule emits directly; a multi-template rule builds its
-// outputs in scratch and emits them as one batched link operation, so the
-// fan-out travels downstream as a unit (scratch only grows for such
-// rules). It returns the scratch for reuse and reports false when the
-// instance was stopped mid-emission.
-func applyFilter(env *Env, e *Entity, rules []compiledRule, r *record.Record, out *stream.Link, scratch []*record.Record) ([]*record.Record, bool) {
-	for i := range rules {
-		rule := &rules[i]
-		if !rule.pattern.Matches(r) {
-			continue
-		}
-		var delivered bool
-		if len(rule.outputs) == 1 {
-			// Fan count 1: the output carries the input's delivery
-			// lineage, no accounting needed.
-			delivered = env.send(out, buildOutput(&rule.outputs[0], rule, r))
-		} else {
-			for oi := range rule.outputs {
-				scratch = append(scratch, buildOutput(&rule.outputs[oi], rule, r))
-			}
-			env.trackFork(r, len(rule.outputs))
-			delivered = env.sendMany(out, scratch)
-			clear(scratch)
-		}
-		if !delivered {
-			return scratch, false
-		}
-		// The input was consumed by the rule (outputs are fresh records);
-		// recycle it.
-		recycle(r)
-		return scratch, true
-	}
-	env.reportRT(e.Name(), ErrCatNoMatch, r.String(), fmt.Errorf(
-		"record %s matches no filter rule", r))
-	// The unmatched record was dropped on purpose; its delivery completes
-	// here. Reclaim it.
-	env.trackDrop(r)
-	recycle(r)
-	return scratch, true
-}
-
 // runRules is the filter's whole per-record semantics minus delivery:
-// apply the first matching rule to r, append the rule's outputs to dst,
-// recycle r (rules build fresh records); report a record matching no rule
-// against e and drop it. Fused chain stages use it to hand a filter's
-// outputs to the next stage in memory; it is kept in lockstep with
-// applyFilter, which adds the standalone entity's direct-send fast path.
+// apply the first matching rule to r, append the rule's outputs to dst
+// (a multi-template rule's fan-out stays together and leaves as one link
+// operation), recycle r (rules build fresh records); report a record
+// matching no rule against e and drop it.
 func runRules(env *Env, e *Entity, rules []compiledRule, r *record.Record, dst []*record.Record) []*record.Record {
 	for i := range rules {
 		rule := &rules[i]

@@ -293,10 +293,8 @@ func (i *Instance) Done() <-chan struct{} { return i.env.done }
 // producers have finished — a Send racing a Close panics, exactly like a
 // raw send would.
 func (i *Instance) Send(r *record.Record) bool {
-	select {
-	case <-i.env.done:
+	if i.env.stopped() {
 		return false
-	default:
 	}
 	select {
 	case i.in <- r:

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"snet/internal/record"
-	"snet/internal/rtype"
-	"snet/internal/stream"
-)
+import "snet/internal/rtype"
 
 // OptimizeLevel selects how aggressively NewNetwork rewrites the entity
 // tree before instantiation.
@@ -12,8 +8,9 @@ type OptimizeLevel int
 
 const (
 	// OptimizeFull — the zero value, on by default — enables the whole
-	// rewrite catalogue: serial/choice flattening, identity elision,
-	// filter/box fusion, and signature-driven branch pruning.
+	// rewrite catalogue: serial/choice flattening, identity elision, stage
+	// fusion (filters, a box, synchrocells, choices; star operands run in
+	// the tap), and signature-driven branch pruning.
 	OptimizeFull OptimizeLevel = iota
 	// OptimizeOff disables the optimizer: the tree spawns exactly as
 	// constructed. It is the escape hatch (and the reference side of the
@@ -46,20 +43,21 @@ type OptStats struct {
 	FilterFilterFused int
 	FilterBoxFused    int
 	BoxFilterFused    int
+	// SyncsFused and ChoicesFused count synchrocells and nondeterministic
+	// choices that became stages of a fused entity instead of goroutines
+	// of their own (a fused choice's branches are nested stage lists).
+	// StarOperandsInlined counts stars whose every unfolding runs the
+	// operand's stage tree inside the tap goroutine: one goroutine and one
+	// link per unfolding, whatever the operand holds.
+	SyncsFused          int
+	ChoicesFused        int
+	StarOperandsInlined int
 	// BranchesPruned counts choice branches removed because no upstream
 	// record can ever win dispatch for them (rtype.Dominated);
 	// ChoicesShortCircuited counts choices replaced outright by their sole
 	// surviving branch.
 	BranchesPruned        int
 	ChoicesShortCircuited int
-}
-
-// fuseStage is one stage of a fused chain: a filter rule set or a box,
-// with the original entity kept for error attribution.
-type fuseStage struct {
-	ent   *Entity
-	rules []compiledRule // filter stage (box == nil)
-	box   *boxImpl       // box stage
 }
 
 // Optimize rewrites an entity tree into a cheaper equivalent and reports
@@ -74,15 +72,21 @@ type fuseStage struct {
 //     choice dispatchers route records for identity branches straight to
 //     the merge — the trivial case of fusion, generalized from the
 //     per-combinator special cases earlier versions hard-coded in spawn.
-//   - Fusion: a maximal run of adjacent filters containing at most one box
-//     becomes a single entity whose one goroutine threads each record
-//     through the stages in memory — no links, no per-hop handoff. Runs
-//     with two or more boxes are not merged across the second box: box
-//     pipelining is real parallelism, and serializing heavy stages to save
-//     a hop is a loss. Stage semantics are shared code with the standalone
-//     entities (runRules, boxImpl.execute), so matching, flow inheritance,
-//     error reporting, recycling, and remote/stealable box execution are
-//     identical.
+//   - Fusion: a maximal run of adjacent stage-tree entities — filters,
+//     synchrocells, nondeterministic choices all of whose branches are
+//     stage trees (an identity branch is the empty one), and at most one
+//     box, counted over the whole tree — becomes a single entity whose one
+//     goroutine threads each record through the stages in its own stack:
+//     no links, no per-hop handoff. A fusable choice standing alone fuses
+//     too. Runs with two or more boxes are not merged across the second
+//     box: box pipelining is real parallelism, and serializing heavy stages
+//     to save a hop is a loss. Fusion changes the tree's shape, not the
+//     code that runs: a box, filter or synchrocell as written is the
+//     one-stage tree of the same stage machine (see fuseStage), and choice
+//     dispatch is pickBranch either way.
+//   - Star inlining: a star whose operand is a stage tree runs it inside
+//     each unfolding's tap goroutine instead of spawning it, so an
+//     unfolding costs one goroutine and one link.
 //   - Branch pruning: a choice branch no upstream record can ever win
 //     dispatch for (rtype.Dominated over the declared signatures, sound
 //     under flow inheritance) is removed; a choice left with one branch is
@@ -90,13 +94,14 @@ type fuseStage struct {
 //     not trustworthy (Entity.looseOut: synchrocells and what follows
 //     them).
 //
-// Stateful or structural entities — boxes under observation taps,
-// synchrocells, stars, splits, placement — are never merged into fused
-// chains; their operands are still rewritten through their rebuild hooks.
+// Deterministic choices, splits, placement, observation taps and feedback
+// stars are never merged into fused trees (their merge, replica, transfer
+// and callback points are the entity boundaries); their operands are still
+// rewritten through their rebuild hooks.
 func Optimize(e *Entity) (*Entity, OptStats) {
 	st := OptStats{Enabled: true, EntitiesBefore: countEntities(e)}
-	o := &optimizer{stats: &st, memo: map[*Entity]*Entity{}}
-	root := o.rewrite(e)
+	o := &optimizer{stats: &st, memo: map[*Entity]*Entity{}, lone: map[*Entity]*Entity{}}
+	root := o.operand(e)
 	st.EntitiesAfter = countEntities(root)
 	return root, st
 }
@@ -107,6 +112,28 @@ type optimizer struct {
 	// may be referenced several times), and each reference must resolve to
 	// the same rewritten node.
 	memo map[*Entity]*Entity
+	// lone keeps, likewise by identity, the fused form of each rewritten
+	// choice that stands alone (see operand).
+	lone map[*Entity]*Entity
+}
+
+// operand rewrites e as something that will be spawned as a unit — the
+// root, a combinator's operand, a choice leaf — which is where a fusable
+// choice standing alone becomes a fused entity. rewrite itself returns
+// choices unfused, so an enclosing choice can still flatten them and an
+// enclosing chain can prune them before fusing.
+func (o *optimizer) operand(e *Entity) *Entity { return o.fuseLone(o.rewrite(e)) }
+
+func (o *optimizer) fuseLone(r *Entity) *Entity {
+	if r.kind != kindChoice {
+		return r
+	}
+	f, ok := o.lone[r]
+	if !ok {
+		f = o.fuseChain([]*Entity{r})[0]
+		o.lone[r] = f
+	}
+	return f
 }
 
 func (o *optimizer) rewrite(e *Entity) *Entity {
@@ -119,6 +146,13 @@ func (o *optimizer) rewrite(e *Entity) *Entity {
 		r = o.rewriteSerial(e)
 	case kindChoice, kindDetChoice:
 		r = o.rewriteChoice(e)
+	case kindStar:
+		// Always rebuilt: the hook builds the star that runs a stage-tree
+		// operand in its taps.
+		r = e.rebuild([]*Entity{o.operand(e.kids[0])})
+		if r.inline {
+			o.stats.StarOperandsInlined++
+		}
 	default:
 		r = o.rewriteGeneric(e)
 	}
@@ -136,7 +170,7 @@ func (o *optimizer) rewriteGeneric(e *Entity) *Entity {
 	kids := make([]*Entity, len(e.kids))
 	same := true
 	for i, k := range e.kids {
-		kids[i] = o.rewrite(k)
+		kids[i] = o.operand(k)
 		if kids[i] != k {
 			same = false
 		}
@@ -362,7 +396,7 @@ func (o *optimizer) rewriteChoice(e *Entity) *Entity {
 			continue
 		}
 		kids = append(kids, selNode{leaf: len(leaves)})
-		leaves = append(leaves, rk)
+		leaves = append(leaves, o.fuseLone(rk))
 	}
 	id := nc
 	nc++
@@ -374,36 +408,35 @@ func (o *optimizer) rewriteChoice(e *Entity) *Entity {
 }
 
 // fusableBoxes reports how many box stages op would contribute to a fused
-// chain, or -1 when op cannot be a fused stage.
+// tree, or -1 when op cannot be a stage of one: it must be a stage tree
+// already, or a nondeterministic choice over stage trees and identities.
 func fusableBoxes(op *Entity) int {
-	switch op.kind {
-	case kindFilter:
-		return 0
-	case kindBox:
-		return 1
-	case kindFused:
-		n := 0
-		for i := range op.stages {
-			if op.stages[i].box != nil {
-				n++
-			}
-		}
-		return n
+	if op.stages != nil {
+		return op.layout.boxes
 	}
-	return -1
+	if op.kind != kindChoice {
+		return -1
+	}
+	n := 0
+	for _, b := range op.kids {
+		switch {
+		case b.kind == kindIdentity:
+		case b.stages != nil:
+			n += b.layout.boxes
+		default:
+			return -1
+		}
+	}
+	return n
 }
 
-// fuseChain merges maximal fusable runs (filters plus at most one box) in
-// an op list into single fused entities.
+// fuseChain merges maximal fusable runs (at most one box each) in an op
+// list into single fused entities. A fusable choice fuses even as a run of
+// one: that alone saves its dispatcher, branch and drain goroutines.
 func (o *optimizer) fuseChain(ops []*Entity) []*Entity {
 	var res []*Entity
 	i := 0
 	for i < len(ops) {
-		if fusableBoxes(ops[i]) < 0 {
-			res = append(res, ops[i])
-			i++
-			continue
-		}
 		j, boxes := i, 0
 		for j < len(ops) {
 			n := fusableBoxes(ops[j])
@@ -413,9 +446,15 @@ func (o *optimizer) fuseChain(ops []*Entity) []*Entity {
 			boxes += n
 			j++
 		}
-		if j-i >= 2 {
+		switch {
+		case j == i:
+			// Not fusable — or over the box budget all by itself (a choice
+			// between two boxes): it stays as written.
+			res = append(res, ops[i])
+			j++
+		case j-i >= 2 || ops[i].kind == kindChoice:
 			res = append(res, o.fuseParts(ops[i:j]))
-		} else {
+		default:
 			res = append(res, ops[i])
 		}
 		i = j
@@ -423,16 +462,16 @@ func (o *optimizer) fuseChain(ops []*Entity) []*Entity {
 	return res
 }
 
-// boundaryStageIsBox resolves what stage kind a part presents at its first
+// boundaryKind resolves what stage kind a part presents at its first
 // (last=false) or last (last=true) stage, for fusion accounting.
-func boundaryStageIsBox(op *Entity, last bool) bool {
-	if op.kind == kindFused {
-		if last {
-			return op.stages[len(op.stages)-1].box != nil
-		}
-		return op.stages[0].box != nil
+func boundaryKind(op *Entity, last bool) stageKind {
+	if op.kind == kindChoice {
+		return stageChoice
 	}
-	return op.kind == kindBox
+	if last {
+		return op.stages[len(op.stages)-1].kind
+	}
+	return op.stages[0].kind
 }
 
 // fuseParts builds one fused entity over the given adjacent parts.
@@ -440,113 +479,47 @@ func (o *optimizer) fuseParts(parts []*Entity) *Entity {
 	var stages []fuseStage
 	for _, p := range parts {
 		switch p.kind {
-		case kindFilter:
-			stages = append(stages, fuseStage{ent: p, rules: p.rules})
-		case kindBox:
-			stages = append(stages, fuseStage{ent: p, box: p.box})
-		case kindFused:
+		case kindChoice:
+			// Identity leaves have no stages: the empty list passes the
+			// record on.
+			branches := make([][]fuseStage, len(p.kids))
+			for i, b := range p.kids {
+				branches[i] = b.stages
+			}
+			stages = append(stages, fuseStage{kind: stageChoice, ent: p, branches: branches})
+			o.stats.ChoicesFused++
+		default:
+			if p.kind == kindSync {
+				o.stats.SyncsFused++
+			}
 			stages = append(stages, p.stages...)
 		}
 	}
 	// Count the new part boundaries only (an already-fused part's internal
-	// boundaries were counted when it was built).
+	// boundaries were counted when it was built), and only the filter/box
+	// ones these counters name.
 	for i := 1; i < len(parts); i++ {
-		a := boundaryStageIsBox(parts[i-1], true)
-		b := boundaryStageIsBox(parts[i], false)
+		a := boundaryKind(parts[i-1], true)
+		b := boundaryKind(parts[i], false)
 		switch {
-		case !a && !b:
+		case a == stageFilter && b == stageFilter:
 			o.stats.FilterFilterFused++
-		case !a && b:
+		case a == stageFilter && b == stageBox:
 			o.stats.FilterBoxFused++
-		case a && !b:
+		case a == stageBox && b == stageFilter:
 			o.stats.BoxFilterFused++
 		}
 	}
 	parts = append([]*Entity(nil), parts...)
 	e := &Entity{
-		nameFn: func() string { return "fused" + combName(parts, "..") },
-		sig:    rtype.NewSignature(parts[0].sig.In, parts[len(parts)-1].sig.Out),
-		kids:   parts,
-		kind:   kindFused,
-		stages: stages,
+		nameFn:   func() string { return "fused" + combName(parts, "..") },
+		sig:      rtype.NewSignature(parts[0].sig.In, parts[len(parts)-1].sig.Out),
+		kids:     parts,
+		kind:     kindFused,
+		looseOut: parts[len(parts)-1].looseOut,
 	}
-	e.spawn = spawnFused(e)
+	e.setStages(stages)
 	return e
-}
-
-// spawnFused instantiates a fused chain: one goroutine threads each input
-// record through the stage list in memory, emitting the final stage's
-// outputs downstream in the same DFS order the unfused pipeline would
-// produce. Control records pass straight through, FIFO with the data.
-func spawnFused(e *Entity) SpawnFunc {
-	stages := e.stages
-	return func(env *Env, in, out *stream.Link) {
-		env.start(func() {
-			defer env.closeLink(out)
-			// One reusable call context and execution closure per box
-			// stage (boxes are sequential per instance).
-			calls := make([]*BoxCall, len(stages))
-			runs := make([]func(), len(stages))
-			for i := range stages {
-				if stages[i].box != nil {
-					calls[i], runs[i] = newBoxRunner(env, stages[i].box)
-				}
-			}
-			// cur/next are the record front between stages, reused across
-			// inputs.
-			var cur, next []*record.Record
-			for {
-				r, ok := env.recv(in)
-				if !ok {
-					return
-				}
-				if !r.IsData() {
-					if !env.send(out, r) {
-						return
-					}
-					continue
-				}
-				cur = append(cur[:0], r)
-				for si := range stages {
-					s := &stages[si]
-					next = next[:0]
-					if s.box == nil {
-						for _, rec := range cur {
-							next = runRules(env, s.ent, s.rules, rec, next)
-						}
-					} else {
-						for _, rec := range cur {
-							matched, ok, dead := s.box.attempt(calls[si], runs[si], rec)
-							if !ok {
-								// Stopped mid-chain: unwind; in-flight
-								// records are dropped like any stopped
-								// instance's.
-								return
-							}
-							if !matched || dead {
-								// Dropped (no match) or dead-lettered:
-								// nothing pending, the record is no
-								// longer ours.
-								continue
-							}
-							next = append(next, calls[si].pending...)
-							if !finishCall(calls[si], rec) {
-								recycle(rec)
-							}
-						}
-					}
-					cur, next = next, cur
-				}
-				if !env.sendMany(out, cur) {
-					return
-				}
-				// Drop the references so recycled records are not retained
-				// past delivery.
-				clear(cur)
-				clear(next)
-			}
-		})
-	}
 }
 
 // countEntities counts entity-tree nodes with spawn multiplicity: a

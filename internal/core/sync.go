@@ -5,7 +5,6 @@ import (
 
 	"snet/internal/record"
 	"snet/internal/rtype"
-	"snet/internal/stream"
 )
 
 // NewSync builds a synchrocell [| p1, p2, ... |] — the only stateful entity
@@ -32,7 +31,7 @@ func NewSync(patterns ...*rtype.Pattern) *Entity {
 		merged = merged.Union(p.Variant)
 	}
 	outT := inT.Union(rtype.NewType(merged))
-	return &Entity{
+	e := &Entity{
 		nameFn: func() string { return syncName(patterns) },
 		sig:    rtype.NewSignature(inT, outT),
 		kind:   kindSync,
@@ -40,98 +39,88 @@ func NewSync(patterns ...*rtype.Pattern) *Entity {
 		// possibly outside the declared output type — so downstream
 		// signature-driven rewrites (branch pruning) must not trust it.
 		looseOut: true,
-		spawn: func(env *Env, in, out *stream.Link) {
-			env.start(func() {
-				defer env.closeLink(out)
-				stored := make([]*record.Record, len(patterns))
-				filled := 0
-				fired := false
-				// Storage discarded at close (no flush, or a stopped
-				// instance mid-flush) is dead — the cell is its only
-				// owner — so it goes back to the pool instead of leaking.
-				// The termination discard is sanctioned (the reference
-				// runtime's behaviour), so the deliveries complete here —
-				// except under Stop, where discarded records stay
-				// unacknowledged on purpose: a recovery replays them.
-				defer func() {
-					stopped := false
-					select {
-					case <-env.done:
-						stopped = true
-					default:
-					}
-					for i, s := range stored {
-						if s != nil {
-							if !stopped {
-								env.trackDrop(s)
-							}
-							recycle(s)
-							stored[i] = nil
-						}
-					}
-				}()
-				for {
-					r, ok := env.recv(in)
-					if !ok {
-						break
-					}
-					if !r.IsData() || fired {
-						if !env.send(out, r) {
-							return
-						}
-						continue
-					}
-					idx := -1
-					for i, p := range patterns {
-						if stored[i] == nil && p.Matches(r) {
-							idx = i
-							break
-						}
-					}
-					if idx < 0 {
-						if !env.send(out, r) {
-							return
-						}
-						continue
-					}
-					stored[idx] = r
-					filled++
-					if filled == len(patterns) {
-						m := stored[0].Copy()
-						for _, s := range stored[1:] {
-							m.Merge(s)
-						}
-						fired = true
-						// The stored records died in the merge; recycle
-						// them (field values flow on by reference). The
-						// merged record carries stored[0]'s delivery
-						// lineage (Copy); the others' deliveries complete
-						// here — their labels flowed into m, replaying
-						// them would double the contribution.
-						for i, s := range stored {
-							if i > 0 {
-								env.trackDrop(s)
-							}
-							recycle(s)
-							stored[i] = nil
-						}
-						if !env.send(out, m) {
-							return
-						}
-					}
-				}
-				if !fired && env.opts.FlushSyncOnClose {
-					for i, s := range stored {
-						if s != nil {
-							if !env.send(out, s) {
-								return
-							}
-							stored[i] = nil
-						}
-					}
-				}
-			})
-		},
+	}
+	e.setStages([]fuseStage{{kind: stageSync, ent: e, patterns: patterns}})
+	return e
+}
+
+// syncStep is the synchrocell's per-record semantics, for the cell standing
+// alone and for the cell as a stage of a fused tree alike: store the first
+// record matching each unfilled pattern, pass everything else through, and
+// release the merged record once every pattern is filled.
+func (m *machine) syncStep(s *fuseStage, r *record.Record, dst []*record.Record) []*record.Record {
+	filled := &m.filled[s.idx]
+	if *filled == syncFired {
+		return append(dst, r)
+	}
+	stored := m.stored[s.slot : s.slot+len(s.patterns)]
+	idx := -1
+	for i, p := range s.patterns {
+		if stored[i] == nil && p.Matches(r) {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
+		return append(dst, r)
+	}
+	stored[idx] = r
+	if *filled++; *filled < len(stored) {
+		return dst
+	}
+	merged := stored[0].Copy()
+	for _, o := range stored[1:] {
+		merged.Merge(o)
+	}
+	*filled = syncFired
+	// The stored records died in the merge; recycle them (field values flow
+	// on by reference). The merged record carries stored[0]'s delivery
+	// lineage (Copy); the others' deliveries complete here — their labels
+	// flowed into merged, replaying them would double the contribution.
+	for i, o := range stored {
+		if i > 0 {
+			m.env.trackDrop(o)
+		}
+		recycle(o)
+		stored[i] = nil
+	}
+	return append(dst, merged)
+}
+
+// syncFlush is the synchrocell's end-of-stream under
+// Options.FlushSyncOnClose: an unfired cell hands its stored records over,
+// in storage order, appended to dst. Without the option (and for whatever a
+// stopped instance leaves behind) the storage stays for discardStored.
+func (m *machine) syncFlush(s *fuseStage, dst []*record.Record) []*record.Record {
+	if !m.env.opts.FlushSyncOnClose {
+		return dst
+	}
+	stored := m.stored[s.slot : s.slot+len(s.patterns)]
+	for i, o := range stored {
+		if o != nil {
+			dst = append(dst, o)
+			stored[i] = nil
+		}
+	}
+	return dst
+}
+
+// discardStored reclaims what the machine's synchrocells still hold when it
+// goes away. Storage discarded at close is dead — the cell is its only
+// owner — so it goes back to the pool instead of leaking. The termination
+// discard is sanctioned (the reference runtime's behaviour), so the
+// deliveries complete here — except under Stop, where discarded records stay
+// unacknowledged on purpose: a recovery replays them.
+func (m *machine) discardStored() {
+	stopped := m.env.stopped()
+	for i, o := range m.stored {
+		if o != nil {
+			if !stopped {
+				m.env.trackDrop(o)
+			}
+			recycle(o)
+			m.stored[i] = nil
+		}
 	}
 }
 

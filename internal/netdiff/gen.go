@@ -118,6 +118,17 @@ func (g *gen) node(depth int, ordered bool) (*core.Entity, bool) {
 			// interleaved, so arrival order inside it is never
 			// deterministic regardless of the input order.
 			sub, _ := g.node(depth-1, false)
+			if g.r.Intn(2) == 0 {
+				// The merger idiom's operand shape, sync..(… | []): what a
+				// star unfolding fuses into one goroutine. The cell never
+				// fires (arrival order is not deterministic here) and the
+				// guarded branch has a unique winner per record.
+				sub = core.Serial(
+					core.NewSync(
+						rtype.NewPattern(rtype.NewVariant(rtype.T("nv1"))),
+						rtype.NewPattern(rtype.NewVariant(rtype.T("nv2")))),
+					core.Choice(core.Serial(guardXA(), sub), core.Identity()))
+			}
 			return starWrap(sub, 1+g.r.Intn(2)), false
 		case 6: // split / det-split
 			// Each split instance receives its subsequence in arrival

@@ -15,6 +15,10 @@
 //   - Both sides must agree on error-ness (a record matching no filter
 //     rule must still be reported after fusion) and both instances must
 //     reclaim every runtime goroutine (leakcheck).
+//   - Neither side may dead-letter a record, and with Config.Durable both
+//     run over an ingress journal that must have drained by the time the
+//     instance has closed: every delivery's derivation tree completed, on
+//     the tree as written and on the fused one.
 //
 // The harness is wired over every combinator topology the core tests
 // exercise plus randomized combinator trees (see Generate); CI runs a
@@ -28,6 +32,7 @@ import (
 	"testing"
 
 	"snet/internal/core"
+	"snet/internal/journal"
 	"snet/internal/leakcheck"
 	"snet/internal/record"
 )
@@ -41,6 +46,9 @@ type Config struct {
 	// Opts is the base options both instantiations share; the Optimize
 	// field is overridden per side.
 	Opts core.Options
+	// Durable runs each side with Options.Durability over a directory of
+	// its own and asserts the journal is empty afterwards.
+	Durable bool
 }
 
 // Check runs inputs() through e twice — optimizer off and on — and fails
@@ -53,11 +61,37 @@ func Check(t testing.TB, e *core.Entity, cfg Config, inputs func() []*record.Rec
 	run := func(lvl core.OptimizeLevel) ([]string, error, core.OptStats) {
 		opts := cfg.Opts
 		opts.Optimize = lvl
+		if cfg.Durable {
+			opts.Durability = &core.Durability{Dir: t.TempDir()}
+		}
 		n := core.NewNetwork(e, opts)
-		outs, err := n.Run(inputs()...)
-		keys := make([]string, len(outs))
-		for i, r := range outs {
-			keys[i] = canon(r)
+		inst := n.Start()
+		go func() {
+			for _, r := range inputs() {
+				if !inst.Send(r) {
+					return
+				}
+			}
+			inst.CloseIn()
+		}()
+		var keys []string
+		for r := range inst.Out {
+			keys = append(keys, canon(r))
+		}
+		err := inst.Close()
+		if letters, dropped := inst.DeadLetters(); len(letters)+dropped > 0 {
+			t.Fatalf("netdiff: %d dead letters (%d more dropped) at optimize level %d", len(letters), dropped, lvl)
+		}
+		if cfg.Durable {
+			j, jerr := journal.Open(journal.Config{Dir: opts.Durability.Dir})
+			if jerr != nil {
+				t.Fatalf("netdiff: reopen journal: %v", jerr)
+			}
+			left := len(j.Recovered())
+			j.Close() // only read
+			if left != 0 {
+				t.Fatalf("netdiff: journal holds %d unacknowledged deliveries after the instance closed (optimize level %d)", left, lvl)
+			}
 		}
 		return keys, err, n.OptStats()
 	}

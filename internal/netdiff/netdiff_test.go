@@ -147,6 +147,24 @@ func TestFixedTopologies(t *testing.T) {
 				core.Serial(guardXA(), setTag("ba", 1)),
 				core.Serial(guardX(), setTag("bx", 1))), "k")
 		}},
+		{"choice-over-box-budget", false, func() *core.Entity {
+			// Random seed 14: a choice whose branches hold two boxes between
+			// them is over the fusion budget all by itself; the run scan must
+			// emit it and move on (it once spun on it forever).
+			return core.Serial(
+				core.Choice(core.Serial(guardX(), inc(2)), core.Serial(guardX(), inc(2))),
+				inc(3))
+		}},
+		{"fused-choice-ties-in-chain", false, func() *core.Entity {
+			// Equal-score branches inside a fused chain: record i must take
+			// the branch the dispatcher goroutine's round-robin cursor would
+			// have given it (arrival order is deterministic here, so the
+			// per-branch multisets are).
+			return core.SerialAll(
+				setTag("p", 1),
+				core.Choice(core.Serial(guardX(), setTag("b0", 1)), core.Serial(guardX(), setTag("b1", 1))),
+				setTag("q", 2))
+		}},
 		{"deep-mixed", false, func() *core.Entity {
 			return core.SerialAll(
 				setTag("p", 1),
@@ -157,10 +175,144 @@ func TestFixedTopologies(t *testing.T) {
 				setTag("q", 2))
 		}},
 	}
+	// Each topology runs plain and over an ingress journal: whatever the
+	// optimizer made of the tree, every delivery completes and nothing is
+	// dead-lettered.
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			Check(t, tc.build(), Config{Ordered: tc.ordered}, xrecs(18))
+		for _, durable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/durable=%v", tc.name, durable), func(t *testing.T) {
+				Check(t, tc.build(), Config{Ordered: tc.ordered, Durable: durable}, xrecs(18))
+			})
+		}
+	}
+}
+
+// merger builds the paper's Fig. 3 merger idiom as a fold: per key <k>, the
+// first reading seeds an accumulator, a synchrocell inside a star pairs the
+// accumulator with the next reading, the fold box adds it, a tag filter
+// counts, and the star exits when the count reaches <win> — one unfolding
+// per folded reading. Readings of one key may pair up with the accumulator
+// in any order; the sum does not care.
+func merger() *core.Entity {
+	seed := core.NewBox("seed",
+		core.MustSig([]rtype.Label{rtype.F("x"), rtype.T("fst")}, []rtype.Label{rtype.F("acc")}),
+		func(c *core.BoxCall) error {
+			c.Emit(record.New().SetField("acc", c.Field("x")))
+			return nil
 		})
+	fold := core.NewBox("fold",
+		core.MustSig([]rtype.Label{rtype.F("acc"), rtype.F("x")}, []rtype.Label{rtype.F("acc")}),
+		func(c *core.BoxCall) error {
+			c.Emit(record.New().SetField("acc", c.Field("acc").(int)+c.Field("x").(int)))
+			return nil
+		})
+	count := core.NewFilter("", core.FilterRule{
+		Pattern: rtype.NewPattern(rtype.NewVariant(rtype.T("cnt"))),
+		Outputs: []core.FilterOutput{{SetTags: []core.TagAssign{{
+			Name: "cnt",
+			Expr: func(r *record.Record) int { v, _ := r.Tag("cnt"); return v + 1 },
+			Src:  "cnt+=1",
+		}}}},
+	})
+	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("cnt"), rtype.T("win"))).
+		WithGuard(func(r *record.Record) bool {
+			c, _ := r.Tag("cnt")
+			w, _ := r.Tag("win")
+			return c == w
+		}, "<cnt> == <win>")
+	body := core.Serial(
+		core.NewSync(
+			rtype.NewPattern(rtype.NewVariant(rtype.F("acc"))),
+			rtype.NewPattern(rtype.NewVariant(rtype.F("x")))),
+		core.Choice(core.Serial(fold, count), core.Identity()))
+	return core.Split(core.Serial(
+		core.Choice(core.Serial(seed, setTag("cnt", 1)), core.Identity()),
+		core.Star(body, exit)), "k")
+}
+
+// mergerInputs is three keys' windows of unfold+1 readings each,
+// interleaved; with short set, a fourth key stops one reading early, so its
+// accumulator is still waiting in a synchrocell when the input closes.
+func mergerInputs(unfold int, short bool) func() []*record.Record {
+	return func() []*record.Record {
+		keys := 3
+		if short {
+			keys = 4
+		}
+		var ins []*record.Record
+		for i := 0; i <= unfold; i++ {
+			for k := 0; k < keys; k++ {
+				if k == 3 && i == unfold {
+					continue
+				}
+				b := record.Build().F("x", 100*k+i).T("k", k).T("win", unfold+1)
+				if i == 0 {
+					b = b.T("fst", 1)
+				}
+				ins = append(ins, b.Rec())
+			}
+		}
+		return ins
+	}
+}
+
+// TestMergerIdiom runs the Fig. 3 idiom — the shape a star unfolding fuses
+// into one goroutine — at 1, 16 and 64 unfoldings, record-at-a-time and
+// batched links, with and without the ingress journal, and with
+// synchrocell storage both discarded and flushed at close. Flushing a
+// partly filled cell under a star never terminates (core.Options), so only
+// the discarding runs get the window that stops short.
+func TestMergerIdiom(t *testing.T) {
+	for _, unfold := range []int{1, 16, 64} {
+		for _, bs := range []int{1, 16} {
+			for _, flush := range []bool{false, true} {
+				for _, durable := range []bool{false, true} {
+					name := fmt.Sprintf("unfold%d/batch%d/flush=%v/durable=%v", unfold, bs, flush, durable)
+					t.Run(name, func(t *testing.T) {
+						Check(t, merger(), Config{
+							Opts:    core.Options{BatchSize: bs, FlushSyncOnClose: flush},
+							Durable: durable,
+						}, mergerInputs(unfold, !flush))
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSyncCloseThroughFusedStages closes a synchrocell that holds a record:
+// flushed, the record must still run through the stages fused behind the
+// cell (a fan-out filter, then a stamp); discarded, its delivery must
+// complete. Either way the fused tree and the tree as written agree, with
+// and without the journal.
+func TestSyncCloseThroughFusedStages(t *testing.T) {
+	build := func() *core.Entity {
+		fan := core.NewFilter("", core.FilterRule{
+			Pattern: rtype.NewPattern(rtype.NewVariant()),
+			Outputs: []core.FilterOutput{
+				{SetTags: []core.TagAssign{constTag("h", 0)}},
+				{SetTags: []core.TagAssign{constTag("h", 1)}},
+			},
+		})
+		return core.SerialAll(
+			setTag("p", 1),
+			// Holds the first a-record; <nv> never comes.
+			core.NewSync(
+				rtype.NewPattern(rtype.NewVariant(rtype.T("a"))),
+				rtype.NewPattern(rtype.NewVariant(rtype.T("nv")))),
+			fan,
+			setTag("q", 2))
+	}
+	for _, flush := range []bool{false, true} {
+		for _, durable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("flush=%v/durable=%v", flush, durable), func(t *testing.T) {
+				Check(t, build(), Config{
+					Ordered: true,
+					Opts:    core.Options{FlushSyncOnClose: flush},
+					Durable: durable,
+				}, xrecs(6))
+			})
+		}
 	}
 }
 

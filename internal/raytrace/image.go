@@ -21,22 +21,14 @@ func NewImage(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]byte, 3*w*h)}
 }
 
-// SetChunk copies a rendered chunk into place.
+// SetChunk copies a rendered chunk into place. Setting the same chunk again
+// changes nothing, so an assembly step that is re-run (a retried merge box)
+// is harmless.
 func (im *Image) SetChunk(c Chunk) {
 	if c.W != im.W {
 		panic(fmt.Sprintf("raytrace: chunk width %d != image width %d", c.W, im.W))
 	}
 	copy(im.Pix[3*im.W*c.Y0:], c.Pix)
-}
-
-// Merge returns a new image with the chunk merged in; the receiver is not
-// modified. This is the pure functional form used by the S-Net merge box
-// (boxes must not mutate their inputs).
-func (im *Image) Merge(c Chunk) *Image {
-	out := NewImage(im.W, im.H)
-	copy(out.Pix, im.Pix)
-	out.SetChunk(c)
-	return out
 }
 
 // ByteSize declares the image's wire size (pixel payload plus header) for

@@ -336,15 +336,17 @@ func TestImageChunkPanicsOnWidthMismatch(t *testing.T) {
 	NewImage(10, 10).SetChunk(Chunk{Section: Section{W: 5, Y0: 0, Y1: 1}, Pix: make([]byte, 15)})
 }
 
-func TestImageMergePure(t *testing.T) {
-	base := NewImage(4, 4)
+func TestImageSetChunkIdempotent(t *testing.T) {
+	img := NewImage(4, 4)
 	chunk := Chunk{Section: Section{W: 4, H: 4, Y0: 1, Y1: 2}, Pix: bytes.Repeat([]byte{9}, 12)}
-	merged := base.Merge(chunk)
-	if base.Pix[3*4] != 0 {
-		t.Fatal("Merge mutated receiver")
+	img.SetChunk(chunk)
+	once := append([]byte(nil), img.Pix...)
+	img.SetChunk(chunk)
+	if !bytes.Equal(img.Pix, once) {
+		t.Fatal("setting the same chunk twice changed the image")
 	}
-	if merged.Pix[3*4] != 9 {
-		t.Fatal("Merge did not apply chunk")
+	if img.Pix[3*4] != 9 || img.Pix[0] != 0 || img.Pix[3*4*2] != 0 {
+		t.Fatalf("chunk not applied to its rows only: %v", img.Pix)
 	}
 }
 

@@ -339,8 +339,12 @@ func (cfg *Config) registry(sink *imageSink) (*compile.Registry, error) {
 	})
 	reg.RegisterBox("merge", func(c *core.BoxCall) error {
 		chunk := c.FieldSym(symChunk).(raytrace.Chunk)
+		// In place: the pic field is consumed here and has one owner (the
+		// record init or the previous merge emitted), and copying the same
+		// chunk in again — a BoxRetry re-run — changes nothing.
 		pic := c.FieldSym(symPic).(*raytrace.Image)
-		c.Emit(c.NewRecord().SetFieldSym(symPic, pic.Merge(chunk)))
+		pic.SetChunk(chunk)
+		c.Emit(c.NewRecord().SetFieldSym(symPic, pic))
 		return nil
 	})
 	reg.RegisterBox("genImg", func(c *core.BoxCall) error {
