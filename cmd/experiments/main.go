@@ -9,9 +9,9 @@
 //	experiments -fig all  everything
 //
 // Each table prints the simulated value next to the paper's published
-// value where one exists. With -live, a reduced-size wall-clock run of the
-// real runtime is executed as well (shape only; the host is not the
-// paper's cluster).
+// value where one exists (simnet.PaperFig6; TestFig6WithinTolerance holds
+// the two within a stated tolerance). Wall-clock runs of the real runtime
+// are the benchmark's job: bench/run.sh.
 package main
 
 import (
@@ -19,28 +19,14 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"time"
 
-	"snet/internal/raytrace"
 	"snet/internal/simnet"
-	"snet/internal/snetray"
 )
-
-// paperFig6 holds the published Fig. 6 (left) values, in seconds.
-var paperFig6 = map[int]map[string]float64{
-	1: {"S-Net Static": 941.87, "S-Net Static 2CPU": 829.74, "MPI": 650.99, "MPI 2 Proc/Node": 401.80, "S-Net Best Dynamic": 953.18},
-	2: {"S-Net Static": 402.75, "S-Net Static 2CPU": 329.14, "MPI": 405.95, "MPI 2 Proc/Node": 211.77, "S-Net Best Dynamic": 228.52},
-	4: {"S-Net Static": 217.97, "S-Net Static 2CPU": 204.23, "MPI": 213.43, "MPI 2 Proc/Node": 139.00, "S-Net Best Dynamic": 119.77},
-	6: {"S-Net Static": 158.58, "S-Net Static 2CPU": 143.33, "MPI": 163.83, "MPI 2 Proc/Node": 105.61, "S-Net Best Dynamic": 76.39},
-	8: {"S-Net Static": 132.66, "S-Net Static 2CPU": 121.99, "MPI": 136.23, "MPI 2 Proc/Node": 87.01, "S-Net Best Dynamic": 61.84},
-}
 
 func main() {
 	var (
-		fig  = flag.String("fig", "all", "5f|5b|6|6s|all")
-		live = flag.Bool("live", false, "also run reduced-size wall-clock variants on the real runtime")
-		h    = flag.Int("rows", 3000, "simulated image height")
+		fig = flag.String("fig", "all", "5f|5b|6|6s|all")
+		h   = flag.Int("rows", 3000, "simulated image height")
 	)
 	flag.Parse()
 
@@ -66,11 +52,6 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "unknown -fig; want 5f|5b|6|6s|all")
 		os.Exit(2)
-	}
-
-	if *live {
-		fmt.Println()
-		liveRuns()
 	}
 }
 
@@ -134,8 +115,8 @@ func fig6(profile []float64) {
 		}
 		fmt.Println()
 		fmt.Printf("%-20s", "  (paper)")
-		for _, r := range rows {
-			fmt.Printf(" %12.2f", paperFig6[r.Nodes][v])
+		for _, r := range simnet.PaperFig6 {
+			fmt.Printf(" %12.2f", value(r, v))
 		}
 		fmt.Println()
 	}
@@ -147,44 +128,10 @@ func fig6speedup(profile []float64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp := simnet.Fig6Speedup(rows)
-	paper := map[int][2]float64{ // static2, dynamic — derived from paper Fig. 6 left
-		1: {401.80 / 829.74, 401.80 / 953.18},
-		2: {211.77 / 329.14, 211.77 / 228.52},
-		4: {139.00 / 204.23, 139.00 / 119.77},
-		6: {105.61 / 143.33, 105.61 / 76.39},
-		8: {87.01 / 121.99, 87.01 / 61.84},
-	}
+	paper := simnet.Fig6Speedup(simnet.PaperFig6) // same node counts, same order
 	fmt.Printf("%6s %24s %26s\n", "nodes", "S-Net Static 2CPU", "S-Net Best Dynamic")
-	for _, s := range sp {
-		p := paper[s.Nodes]
+	for i, s := range simnet.Fig6Speedup(rows) {
 		fmt.Printf("%6d %12.2f (%.2f) %18.2f (%.2f)\n",
-			s.Nodes, s.Static2CPU, p[0], s.BestDynamic, p[1])
+			s.Nodes, s.Static2CPU, paper[i].Static2CPU, s.BestDynamic, paper[i].BestDynamic)
 	}
-}
-
-// liveRuns executes the real runtime variants at reduced scale for a
-// wall-clock sanity check of the coordination code paths.
-func liveRuns() {
-	const w, hh = 192, 144
-	scene := raytrace.UnbalancedScene(150, 2010)
-	fmt.Printf("live runs (real runtime, %dx%d, 4 nodes x 2 CPUs, host has %d core(s)):\n",
-		w, hh, runtime.NumCPU())
-	run := func(label string, cfg snetray.Config) {
-		start := time.Now()
-		if _, err := snetray.Render(cfg); err != nil {
-			log.Fatalf("%s: %v", label, err)
-		}
-		fmt.Printf("  %-22s %v\n", label, time.Since(start).Round(time.Millisecond))
-	}
-	base := snetray.Config{Scene: scene, W: w, H: hh, Nodes: 4, CPUs: 2}
-	s := base
-	s.Mode, s.Tasks = snetray.Static, 4
-	run("S-Net Static", s)
-	s2 := base
-	s2.Mode, s2.Tasks = snetray.Static2CPU, 8
-	run("S-Net Static 2CPU", s2)
-	d := base
-	d.Mode, d.Tasks, d.Tokens = snetray.Dynamic, 32, 8
-	run("S-Net Dynamic", d)
 }

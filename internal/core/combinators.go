@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"snet/internal/record"
 	"snet/internal/rtype"
@@ -656,168 +655,6 @@ func At(a *Entity, node int) *Entity {
 					}
 					env.transferBatch(target, env.node, b.Recs)
 					if !out.SendBatch(b, env.done) {
-						return
-					}
-				}
-			})
-		},
-	}
-}
-
-// FeedbackStar is an extension beyond the paper's star: a bounded feedback
-// variant in which non-exit output records of the operand are fed back to
-// the operand's input instead of unrolling a new replica. It exists for the
-// ablation benchmark comparing unrolling against feedback (DESIGN.md); the
-// compiler never emits it. Deadlock-freedom is ensured by an unbounded
-// internal queue.
-//
-// Termination does not assume the operand preserves record counts: a box
-// may consume a record without emitting anything, or emit several exit
-// records per input. Instead of per-record accounting, shutdown drains in
-// generations — once the external input is closed and the queue is empty,
-// the operand's input is closed; the operand flushes all in-flight work and
-// closes its output (the universal S-Net quiescence signal); any feedback
-// records that emerged during the flush go through a freshly instantiated
-// operand, repeating until a flush produces no feedback. Operands must be
-// stateless across records (boxes, filters, compositions thereof): a
-// partially filled synchrocell would lose its storage at a generation
-// boundary.
-func FeedbackStar(a *Entity, exit *rtype.Pattern) *Entity {
-	inT := a.sig.In.Union(rtype.NewType(exit.Variant))
-	return &Entity{
-		nameFn: func() string { return fmt.Sprintf("(%s*fb%s)", a.Name(), exit) },
-		sig:    rtype.NewSignature(inT, rtype.NewType(exit.Variant)),
-		kids:   []*Entity{a},
-		// Like Star: only exit-matching records leave.
-		detDepth: a.detDepth,
-		rebuild:  func(kids []*Entity) *Entity { return FeedbackStar(kids[0], exit) },
-		spawn: func(env *Env, in, out *stream.Link) {
-			var mu sync.Mutex
-			var queue []*record.Record // unbounded feedback queue
-			inClosed := false
-			kick := make(chan struct{}, 1)
-			poke := func() {
-				select {
-				case kick <- struct{}{}:
-				default:
-				}
-			}
-			// Out has three kinds of senders — intake, per-generation
-			// outlets, the feeder's lifetime — so its close must be gated
-			// on all of them signing off (a direct close could race a
-			// sender's non-blocking fast path during Stop). The collector
-			// provides exactly that discipline. Initial producers: intake,
-			// feeder, first outlet.
-			coll := newCollector(env, out, 3)
-
-			// Intake: external exit records leave immediately; everything
-			// else joins the queue. Runs to input close, so once inClosed
-			// is observed no further intake sends to out can occur.
-			env.start(func() {
-				defer coll.done()
-				for {
-					r, ok := env.recv(in)
-					if !ok {
-						break
-					}
-					if !r.IsData() || exit.Matches(r) {
-						if !coll.send(r) {
-							break
-						}
-						continue
-					}
-					mu.Lock()
-					queue = append(queue, r)
-					mu.Unlock()
-					poke()
-				}
-				mu.Lock()
-				inClosed = true
-				mu.Unlock()
-				poke()
-			})
-
-			// Outlet (one per operand generation): exit records flow out,
-			// feedback records rejoin the queue. Closes done when the
-			// generation's output is exhausted. The caller registers the
-			// outlet with the collector before starting it.
-			startOutlet := func(src *stream.Link, done chan struct{}) {
-				env.start(func() {
-					defer coll.done()
-					defer close(done)
-					for {
-						r, ok := env.recv(src)
-						if !ok {
-							return
-						}
-						if r.IsData() && !exit.Matches(r) {
-							mu.Lock()
-							queue = append(queue, r)
-							mu.Unlock()
-							poke()
-							continue
-						}
-						if !coll.send(r) {
-							return
-						}
-					}
-				})
-			}
-
-			// Feeder: owns the operand's input; moves queued records into
-			// the operand and runs the generation-drain shutdown.
-			env.start(func() {
-				defer coll.done()
-				instIn := env.newLink()
-				instOut := env.newLink()
-				a.spawn(env, instIn, instOut)
-				outletDone := make(chan struct{})
-				startOutlet(instOut, outletDone)
-				for {
-					for {
-						mu.Lock()
-						if len(queue) > 0 {
-							r := queue[0]
-							queue = queue[1:]
-							mu.Unlock()
-							if !env.send(instIn, r) {
-								return
-							}
-							continue
-						}
-						quiesce := inClosed
-						mu.Unlock()
-						if !quiesce {
-							break
-						}
-						// Shutdown round: close the operand and wait for
-						// it to flush everything still in flight.
-						env.closeLink(instIn)
-						select {
-						case <-outletDone:
-						case <-env.done:
-							return
-						}
-						mu.Lock()
-						empty := len(queue) == 0
-						mu.Unlock()
-						if empty {
-							return
-						}
-						// The flush produced feedback; run it through a
-						// fresh operand instance. The feeder is itself a
-						// registered producer, so the add cannot race the
-						// collector's close.
-						instIn = env.newLink()
-						instOut = env.newLink()
-						a.spawn(env, instIn, instOut)
-						coll.add(1)
-						outletDone = make(chan struct{})
-						startOutlet(instOut, outletDone)
-					}
-					select {
-					case <-kick:
-					case <-env.done:
 						return
 					}
 				}

@@ -152,14 +152,6 @@ type Options struct {
 	// by a box matches one of the box's declared output variants (before
 	// flow inheritance). Violations are reported as errors.
 	CheckTypes bool
-	// FlushSyncOnClose makes synchrocells emit their partially matched
-	// contents when their input stream closes. The default (false)
-	// matches the reference runtime: partial matches are discarded at
-	// network termination. Flushing must not be combined with networks
-	// that re-circulate synchrocell output through a star (such as the
-	// paper's Fig. 4 solver segment), where flushed tokens would unroll
-	// new star stages indefinitely during shutdown.
-	FlushSyncOnClose bool
 	// Optimize selects how aggressively NewNetwork rewrites the entity
 	// tree before instantiation (see Optimize and OptStats). The zero
 	// value enables the full rewrite catalogue; OptimizeOff spawns the
@@ -237,8 +229,8 @@ func newEnv(opts Options) *Env {
 // stable), which keeps deep networks — a star unrolling one stage per
 // record wave — at roughly one allocation per link, the channel itself.
 //
-// A long-lived instance keeps creating links (every feedback-star
-// generation and star unfolding makes two), so the registry must not pin
+// A long-lived instance keeps creating links (every star unfolding and
+// every single-shot split replica makes two), so the registry must not pin
 // them all forever: alloc periodically sweeps links whose receiver has
 // observed end-of-stream (their counters are final) into a cumulative
 // aggregate and drops the references, bounding live registry size by the
@@ -579,7 +571,7 @@ type SpawnFunc func(env *Env, in, out *stream.Link)
 // rewrite trees structurally (flatten serial/choice nests, fuse stage runs,
 // elide identities) without per-combinator knowledge leaking out of the
 // constructors. kindOpaque covers everything the optimizer treats as a
-// black box (splits, placement, observers, feedback); such nodes still
+// black box (splits, placement, observers); such nodes still
 // participate in optimization through their rebuild hook.
 type entityKind uint8
 
@@ -617,7 +609,7 @@ type Entity struct {
 	// rebuild reconstructs this node around rewritten children (same
 	// length and order as kids). Set by combinator constructors the
 	// optimizer has no structural rewrite for (star, split, placement,
-	// observe, feedback), so their operands still get optimized.
+	// observe), so their operands still get optimized.
 	rebuild func(kids []*Entity) *Entity
 
 	// stages is the stage tree a single goroutine threads each record

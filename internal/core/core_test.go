@@ -592,7 +592,7 @@ func TestSyncSecondMatchPassesThroughBeforeFiring(t *testing.T) {
 	}
 }
 
-func TestSyncDropsPartialOnCloseByDefault(t *testing.T) {
+func TestSyncDropsPartialOnClose(t *testing.T) {
 	s := NewSync(
 		rtype.NewPattern(rtype.NewVariant(rtype.F("a"))),
 		rtype.NewPattern(rtype.NewVariant(rtype.F("b"))),
@@ -600,21 +600,6 @@ func TestSyncDropsPartialOnCloseByDefault(t *testing.T) {
 	outs := runEntity(t, s, record.New().SetField("a", 1))
 	if len(outs) != 0 {
 		t.Fatalf("partial contents must be discarded at close: %v", outs)
-	}
-}
-
-func TestSyncFlushOnCloseOption(t *testing.T) {
-	s := NewSync(
-		rtype.NewPattern(rtype.NewVariant(rtype.F("a"))),
-		rtype.NewPattern(rtype.NewVariant(rtype.F("b"))),
-	)
-	outs, err := NewNetwork(s, Options{FlushSyncOnClose: true}).
-		Run(record.New().SetField("a", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 1 || !outs[0].HasField("a") {
-		t.Fatalf("flush on close failed: %v", outs)
 	}
 }
 
@@ -633,31 +618,6 @@ func TestDescribeTree(t *testing.T) {
 	for _, want := range []string{"(a..(b|[]))", "a  ::", "[]  ::"} {
 		if !strings.Contains(d, want) {
 			t.Fatalf("Describe missing %q:\n%s", want, d)
-		}
-	}
-}
-
-func TestFeedbackStarConverges(t *testing.T) {
-	leakcheck.Check(t)
-	sig := MustSig([]rtype.Label{rtype.T("n")}, []rtype.Label{rtype.T("n")})
-	inc := NewBox("incn", sig, func(c *BoxCall) error {
-		c.Emit(record.New().SetTag("n", c.Tag("n")+1))
-		return nil
-	})
-	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("n"))).WithGuard(func(r *record.Record) bool {
-		v, _ := r.Tag("n")
-		return v >= 10
-	}, "<n> >= 10")
-	e := FeedbackStar(inc, exit)
-	outs := runEntity(t, e,
-		record.New().SetTag("n", 0),
-		record.New().SetTag("n", 4))
-	if len(outs) != 2 {
-		t.Fatalf("got %d outputs", len(outs))
-	}
-	for _, o := range outs {
-		if v, _ := o.Tag("n"); v != 10 {
-			t.Fatalf("feedback result = %v", o)
 		}
 	}
 }

@@ -280,121 +280,6 @@ func TestStopDetChoiceLeakFree(t *testing.T) {
 	withTimeout(t, 5*time.Second, "Stop of a det-choice", func() { inst.Stop() })
 }
 
-func TestStopFeedbackStarLeakFree(t *testing.T) {
-	leakcheck.Check(t)
-	sig := MustSig([]rtype.Label{rtype.T("n")}, []rtype.Label{rtype.T("n")})
-	inc := NewBox("incn", sig, func(c *BoxCall) error {
-		c.Emit(record.New().SetTag("n", c.Tag("n")+1))
-		return nil
-	})
-	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("n"))).WithGuard(func(r *record.Record) bool {
-		v, _ := r.Tag("n")
-		return v >= 1_000_000
-	}, "<n> >= 1000000")
-	inst := NewNetwork(FeedbackStar(inc, exit), Options{BufferSize: 1}).Start()
-	saturate(t, inst, 32, func(i int) *record.Record {
-		return record.New().SetTag("n", 0)
-	})
-	withTimeout(t, 5*time.Second, "Stop of a feedback star", func() { inst.Stop() })
-}
-
-// --- FeedbackStar termination regressions -------------------------------
-
-func TestFeedbackStarZeroOutputBox(t *testing.T) {
-	leakcheck.Check(t)
-	// A box that consumes every record and emits nothing: the old
-	// one-output-per-input accounting never decremented its in-flight
-	// count and shutdown hung forever.
-	sig := MustSig([]rtype.Label{rtype.T("n")}, []rtype.Label{rtype.T("n")})
-	sink := NewBox("sinkbox", sig, func(c *BoxCall) error { return nil })
-	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("n"))).WithGuard(func(r *record.Record) bool {
-		v, _ := r.Tag("n")
-		return v >= 10
-	}, "<n> >= 10")
-	var outs []*record.Record
-	var err error
-	withTimeout(t, 5*time.Second, "feedback star over a zero-output box", func() {
-		outs, err = NewNetwork(FeedbackStar(sink, exit), Options{}).Run(
-			record.New().SetTag("n", 0),
-			record.New().SetTag("n", 3),
-			record.New().SetTag("n", 42)) // exits immediately at intake
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 1 {
-		t.Fatalf("got %d outputs, want just the immediate exit", len(outs))
-	}
-}
-
-func TestFeedbackStarMultiExitBox(t *testing.T) {
-	leakcheck.Check(t)
-	// A box that emits two exit records per consumed record: the old
-	// accounting decremented in-flight twice per input, closed the
-	// operand early and dropped whatever was still queued.
-	sig := MustSig([]rtype.Label{rtype.T("n")}, []rtype.Label{rtype.T("n")})
-	double := NewBox("double", sig, func(c *BoxCall) error {
-		c.Emit(record.New().SetTag("n", 100+c.Tag("n")))
-		c.Emit(record.New().SetTag("n", 200+c.Tag("n")))
-		return nil
-	})
-	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("n"))).WithGuard(func(r *record.Record) bool {
-		v, _ := r.Tag("n")
-		return v >= 100
-	}, "<n> >= 100")
-	const n = 16
-	var ins []*record.Record
-	for i := 0; i < n; i++ {
-		ins = append(ins, record.New().SetTag("n", i))
-	}
-	var outs []*record.Record
-	var err error
-	withTimeout(t, 5*time.Second, "feedback star over a multi-exit box", func() {
-		outs, err = NewNetwork(FeedbackStar(double, exit), Options{}).Run(ins...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2*n {
-		t.Fatalf("got %d outputs, want %d (two exits per input, none dropped)", len(outs), 2*n)
-	}
-}
-
-func TestFeedbackStarMultiExitAfterFeedback(t *testing.T) {
-	leakcheck.Check(t)
-	// Records circulate a few times before fanning out into two exits:
-	// exercises the generation-drain shutdown (feedback emerging while
-	// the operand is being flushed).
-	sig := MustSig([]rtype.Label{rtype.T("n")}, []rtype.Label{rtype.T("n")})
-	fan := NewBox("fan", sig, func(c *BoxCall) error {
-		n := c.Tag("n")
-		if n < 5 {
-			c.Emit(record.New().SetTag("n", n+1))
-			return nil
-		}
-		c.Emit(record.New().SetTag("n", 100+n))
-		c.Emit(record.New().SetTag("n", 200+n))
-		return nil
-	})
-	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("n"))).WithGuard(func(r *record.Record) bool {
-		v, _ := r.Tag("n")
-		return v >= 100
-	}, "<n> >= 100")
-	var outs []*record.Record
-	var err error
-	withTimeout(t, 5*time.Second, "feedback star with circulation then fan-out", func() {
-		outs, err = NewNetwork(FeedbackStar(fan, exit), Options{}).Run(
-			record.New().SetTag("n", 0),
-			record.New().SetTag("n", 4))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 4 {
-		t.Fatalf("got %d outputs, want 4", len(outs))
-	}
-}
-
 // --- Choice control routing ---------------------------------------------
 
 func TestChoiceControlRecordKeepsBranchOrder(t *testing.T) {

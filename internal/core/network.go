@@ -195,7 +195,7 @@ type LinkStats = stream.Stats
 // instance achieved; Depth localizes where records are queued.
 //
 // A long-running instance keeps creating links (star unfoldings,
-// feedback-star generations), so links whose receiver has observed
+// single-shot split replicas), so links whose receiver has observed
 // end-of-stream — their counters are final — are periodically folded
 // into one cumulative entry to bound memory; when any have been folded,
 // that aggregate is the first element of the result.

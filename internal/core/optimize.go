@@ -94,10 +94,10 @@ type OptStats struct {
 //     not trustworthy (Entity.looseOut: synchrocells and what follows
 //     them).
 //
-// Deterministic choices, splits, placement, observation taps and feedback
-// stars are never merged into fused trees (their merge, replica, transfer
-// and callback points are the entity boundaries); their operands are still
-// rewritten through their rebuild hooks.
+// Deterministic choices, splits, placement and observation taps are never
+// merged into fused trees (their merge, replica, transfer and callback
+// points are the entity boundaries); their operands are still rewritten
+// through their rebuild hooks.
 func Optimize(e *Entity) (*Entity, OptStats) {
 	st := OptStats{Enabled: true, EntitiesBefore: countEntities(e)}
 	o := &optimizer{stats: &st, memo: map[*Entity]*Entity{}, lone: map[*Entity]*Entity{}}

@@ -200,14 +200,9 @@ func (m *machine) deliver(out *stream.Link) bool {
 	return ok
 }
 
-// close ends the machine's input: synchrocells flush or discard their
-// storage (see closeList), the outputs of the flush are delivered, and out
-// is closed. A stopped instance flushes nothing — no stage may run once the
-// instance is being unwound.
+// close ends the machine's input: synchrocells discard their storage (the
+// reference runtime's behaviour at network termination) and out is closed.
 func (m *machine) close(out *stream.Link) {
-	if !m.env.stopped() && m.closeList(m.stages, nil) {
-		m.deliver(out)
-	}
 	m.discardStored()
 	m.env.closeLink(out)
 }
@@ -291,32 +286,4 @@ func (m *machine) boxCall(s *fuseStage, r *record.Record) bool {
 		recycle(r)
 	}
 	return ok
-}
-
-// closeList is end-of-stream for a stage list: each synchrocell, in stream
-// order, hands over what it flushes (syncFlush), and the flushed records
-// run through the rest of the list — later synchrocells see them before
-// their own close, exactly as when each stage is a goroutine closing its
-// output. A choice closes every branch; what the branches flush continues
-// after the choice.
-func (m *machine) closeList(stages []fuseStage, k *cont) bool {
-	var buf [frontCap]*record.Record
-	for i := range stages {
-		s, rest := &stages[i], stages[i+1:]
-		switch s.kind {
-		case stageSync:
-			for _, r := range m.syncFlush(s, buf[:0]) {
-				if !m.run(rest, r, k) {
-					return false
-				}
-			}
-		case stageChoice:
-			for _, br := range s.branches {
-				if !m.closeList(br, s.after) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

@@ -141,41 +141,6 @@ func TestFusedChoiceNoMatchNamesChoice(t *testing.T) {
 	}
 }
 
-// TestFusedSyncFlushRunsRemainingStages: a record a fused synchrocell still
-// holds when the input closes is, under FlushSyncOnClose, flushed through
-// the stages behind the cell — not past them.
-func TestFusedSyncFlushRunsRemainingStages(t *testing.T) {
-	leakcheck.Check(t)
-	e := SerialAll(
-		setTagFilter("p", 1),
-		NewSync(
-			rtype.NewPattern(rtype.NewVariant(rtype.F("a"))),
-			rtype.NewPattern(rtype.NewVariant(rtype.F("never")))),
-		setTagFilter("q", 2))
-	for _, lvl := range []OptimizeLevel{OptimizeOff, OptimizeFull} {
-		n := NewNetwork(e, Options{Optimize: lvl, FlushSyncOnClose: true})
-		if lvl == OptimizeFull && n.OptStats().SyncsFused != 1 {
-			t.Fatalf("sync not fused: %+v", n.OptStats())
-		}
-		outs, err := n.Run(record.New().SetField("a", 1), record.New().SetField("b", 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(outs) != 2 {
-			t.Fatalf("level %d: outs = %v, want the passed and the flushed record", lvl, outs)
-		}
-		// The b record passes the cell; the held a record follows at close.
-		if !outs[0].HasField("b") || !outs[1].HasField("a") {
-			t.Fatalf("level %d: order = %v", lvl, outs)
-		}
-		for _, o := range outs {
-			if !o.HasTag("p") || !o.HasTag("q") {
-				t.Fatalf("level %d: %s skipped a stage", lvl, o)
-			}
-		}
-	}
-}
-
 // TestFusedStarLinkBudget: an unfolding of a star over a fused operand is
 // one link (tap to next tap), so n unfoldings cost n links plus the
 // instance's fixed ones — not the five per unfolding of the tree as written.

@@ -17,9 +17,7 @@ import (
 // unchanged.
 //
 // If the input stream ends before the cell has fired, the stored records
-// are discarded (the reference runtime's behaviour at network termination)
-// unless Options.FlushSyncOnClose is set, in which case they are flushed to
-// the output in storage order.
+// are discarded (the reference runtime's behaviour at network termination).
 func NewSync(patterns ...*rtype.Pattern) *Entity {
 	if len(patterns) < 2 {
 		panic("core.NewSync: a synchrocell needs at least two patterns")
@@ -85,24 +83,6 @@ func (m *machine) syncStep(s *fuseStage, r *record.Record, dst []*record.Record)
 		stored[i] = nil
 	}
 	return append(dst, merged)
-}
-
-// syncFlush is the synchrocell's end-of-stream under
-// Options.FlushSyncOnClose: an unfired cell hands its stored records over,
-// in storage order, appended to dst. Without the option (and for whatever a
-// stopped instance leaves behind) the storage stays for discardStored.
-func (m *machine) syncFlush(s *fuseStage, dst []*record.Record) []*record.Record {
-	if !m.env.opts.FlushSyncOnClose {
-		return dst
-	}
-	stored := m.stored[s.slot : s.slot+len(s.patterns)]
-	for i, o := range stored {
-		if o != nil {
-			dst = append(dst, o)
-			stored[i] = nil
-		}
-	}
-	return dst
 }
 
 // discardStored reclaims what the machine's synchrocells still hold when it

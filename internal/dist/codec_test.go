@@ -14,7 +14,7 @@ type sized struct{ n int }
 
 func (s sized) ByteSize() int { return s.n }
 
-func TestCodecRoundTrip(t *testing.T) {
+func roundTripRecord() *record.Record {
 	r := record.Build().
 		F("name", "sphere-7").
 		F("weight", 3.25).
@@ -29,12 +29,16 @@ func TestCodecRoundTrip(t *testing.T) {
 		Rec()
 	r.SetBTag("bind", 7)
 	r.SetBTag("neg", -1)
+	return r
+}
 
-	buf, err := dist.Marshal(r)
+func TestCodecRoundTrip(t *testing.T) {
+	r := roundTripRecord()
+	buf, err := dist.NewCodec().Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dist.Unmarshal(buf)
+	got, err := dist.NewCodec().Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +82,11 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecTriggerRoundTrip(t *testing.T) {
-	buf, err := dist.Marshal(record.NewTrigger())
+	buf, err := dist.NewCodec().Marshal(record.NewTrigger())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dist.Unmarshal(buf)
+	got, err := dist.NewCodec().Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +103,14 @@ func TestSizeMatchesMarshal(t *testing.T) {
 		record.Build().F("f", 2.5).F("i", 7).F("nil", nil).F("t", true).Rec(),
 	}
 	for _, r := range records {
-		buf, err := dist.Marshal(r)
+		c := dist.NewCodec()
+		want := c.Size(r)
+		buf, err := c.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dist.Size(r) != len(buf) {
-			t.Fatalf("record %s: Size = %d, Marshal = %d bytes", r, dist.Size(r), len(buf))
+		if want != len(buf) {
+			t.Fatalf("record %s: Size = %d, Marshal = %d bytes", r, want, len(buf))
 		}
 	}
 }
@@ -113,23 +119,23 @@ func TestSizeMatchesMarshal(t *testing.T) {
 // mpi.ByteSizer conventions: declared sizes are honored, everything else
 // falls back to the fixed estimate.
 func TestSizeByteSizerConvention(t *testing.T) {
-	base := dist.Size(record.New())
+	// A nil field value has no payload, so base carries exactly the label
+	// and type-code overhead all three records share; only the payload
+	// sizing differs.
+	base := dist.NewCodec().Size(record.New().SetField("x", nil))
 	declared := record.New().SetField("x", sized{n: 1000})
 	opaque := record.New().SetField("x", struct{ a, b int }{})
-	// Both records add the same label overhead (2 + len("x") + 1 type-code
-	// byte); only the payload sizing differs.
-	overhead := 2 + 1 + 1
-	if got := dist.Size(declared); got != base+overhead+1000 {
-		t.Fatalf("ByteSizer field: size = %d, want %d", got, base+overhead+1000)
+	if got := dist.NewCodec().Size(declared); got != base+1000 {
+		t.Fatalf("ByteSizer field: size = %d, want %d", got, base+1000)
 	}
-	if got := dist.Size(opaque); got != base+overhead+64 {
-		t.Fatalf("opaque field: size = %d, want %d", got, base+overhead+64)
+	if got := dist.NewCodec().Size(opaque); got != base+64 {
+		t.Fatalf("opaque field: size = %d, want %d", got, base+64)
 	}
 }
 
 func TestMarshalRejectsOpaqueFields(t *testing.T) {
 	r := record.New().SetField("scene", struct{ x int }{1})
-	if _, err := dist.Marshal(r); err == nil ||
+	if _, err := dist.NewCodec().Marshal(r); err == nil ||
 		!strings.Contains(err.Error(), "scene") {
 		t.Fatalf("err = %v", err)
 	}
@@ -140,27 +146,109 @@ func TestMarshalRejectsTooManyLabels(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
 		r.SetTag(fmt.Sprintf("t%d", i), i)
 	}
-	if _, err := dist.Marshal(r); err == nil ||
+	if _, err := dist.NewCodec().Marshal(r); err == nil ||
 		!strings.Contains(err.Error(), "wire limit") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-func TestUnmarshalErrors(t *testing.T) {
-	good, err := dist.Marshal(record.Build().F("s", "hello").T("n", 1).Rec())
+// labelLenOverflow is a 19-byte single-record message whose one tag defines
+// its label inline with a name length of 2^64-1: cast to int that is -1,
+// which an additive bounds check lets through to a slice expression.
+var labelLenOverflow = []byte{
+	2, 0, // version, data record
+	1, 0, 0, 0, 0, 0, // one tag, no btags, no fields
+	1,                                                          // label ref: symbol 0, defined inline
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, // name length
+}
+
+func goodMessage(t testing.TB) []byte {
+	good, err := dist.NewCodec().Marshal(record.Build().F("s", "hello").T("n", 1).Rec())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return good
+}
+
+func TestUnmarshalErrors(t *testing.T) {
+	good := goodMessage(t)
 	cases := map[string][]byte{
-		"empty":       {},
-		"bad version": {99, 0, 0, 0, 0, 0, 0, 0},
-		"bad kind":    {1, 7, 0, 0, 0, 0, 0, 0},
-		"truncated":   good[:len(good)-3],
-		"trailing":    append(append([]byte{}, good...), 0),
+		"empty":              {},
+		"bad version":        {99, 0, 0, 0, 0, 0, 0, 0},
+		"retired version 1":  {1, 0, 0, 0, 0, 0, 0, 0},
+		"bad kind":           {2, 7, 0, 0, 0, 0, 0, 0},
+		"truncated":          good[:len(good)-3],
+		"trailing":           append(append([]byte{}, good...), 0),
+		"label len overflow": labelLenOverflow,
 	}
 	for name, buf := range cases {
-		if _, err := dist.Unmarshal(buf); err == nil {
+		if _, err := dist.NewCodec().Unmarshal(buf); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
+}
+
+// FuzzCodecUnmarshal feeds arbitrary bytes to a fresh link's decoder: the
+// outcome is an error or a record that marshals again and decodes to the
+// same label counts, never a panic.
+func FuzzCodecUnmarshal(f *testing.F) {
+	good := goodMessage(f)
+	full, err := dist.NewCodec().Marshal(roundTripRecord())
+	if err != nil {
+		f.Fatal(err)
+	}
+	trigger, err := dist.NewCodec().Marshal(record.NewTrigger())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{good, full, trigger, good[:len(good)-3], labelLenOverflow} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := dist.NewCodec().Unmarshal(data)
+		if err != nil {
+			return
+		}
+		again, err := dist.NewCodec().Marshal(r)
+		if err != nil {
+			t.Fatalf("decoded record %s does not marshal: %v", r, err)
+		}
+		back, err := dist.NewCodec().Unmarshal(again)
+		if err != nil {
+			t.Fatalf("re-marshalled record %s does not decode: %v", r, err)
+		}
+		if back.IsData() != r.IsData() || back.NumFields() != r.NumFields() ||
+			back.NumTags() != r.NumTags() || back.NumBTags() != r.NumBTags() {
+			t.Fatalf("round trip changed %s into %s", r, back)
+		}
+	})
+}
+
+// FuzzCodecUnmarshalBatch is FuzzCodecUnmarshal for batch messages.
+func FuzzCodecUnmarshalBatch(f *testing.F) {
+	batch, err := dist.NewCodec().MarshalBatch([]*record.Record{
+		roundTripRecord(), record.NewTrigger(), record.Build().F("s", "hello").T("n", 1).Rec(),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The overflowing label definition as the only record of a batch.
+	overflow := append([]byte{2, 2, 1, 0}, labelLenOverflow[1:]...)
+	for _, seed := range [][]byte{batch, batch[:len(batch)-3], overflow} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := dist.NewCodec().UnmarshalBatch(data)
+		if err != nil {
+			return
+		}
+		again, err := dist.NewCodec().MarshalBatch(rs)
+		if err != nil {
+			t.Fatalf("decoded batch of %d does not marshal: %v", len(rs), err)
+		}
+		back, err := dist.NewCodec().UnmarshalBatch(again)
+		if err != nil || len(back) != len(rs) {
+			t.Fatalf("re-marshalled batch of %d decodes to %d records: %v", len(rs), len(back), err)
+		}
+	})
 }

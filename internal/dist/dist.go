@@ -106,7 +106,7 @@ type Cluster struct {
 	// links holds one wire codec per directed node pair, indexed
 	// from*nodes+to: transfers are sized against the link's negotiated
 	// label table, so a label name crosses each link once and steady-state
-	// records are charged interned-symbol prices (see codec2.go). The
+	// records are charged interned-symbol prices (see codec.go). The
 	// codecs live in one flat allocation; the zero Codec is ready to use.
 	links []Codec
 
@@ -412,7 +412,7 @@ func (c *Cluster) Loads(dst []int) []int {
 }
 
 // Transfer accounts one record hop from node `from` to node `to`: the hop is
-// counted, the record is byte-sized with the link's wire codec (v2: interned
+// counted, the record is byte-sized with the link's wire codec (interned
 // labels against the link's negotiated table, so repeated shipments of the
 // same label vocabulary shrink to symbol references), and — when a transfer
 // cost is configured — the calling goroutine is delayed by

@@ -18,7 +18,7 @@
 //	'A' (accept): u64 delivery id | u16 meta length | meta | record bytes
 //	'K' (ack):    u16 count | count × u64 delivery id
 //
-// Record bytes use the stateful v2 dist codec — one codec session per
+// Record bytes use the stateful dist codec — one codec session per
 // segment, so every segment is self-contained and replayable in isolation.
 // A frame that fails its CRC (or is cut short) ends the readable prefix of
 // its segment: a torn tail from a crash mid-write costs the torn frame

@@ -122,20 +122,6 @@ func TestFixedTopologies(t *testing.T) {
 		{"star-countdown", false, func() *core.Entity {
 			return starWrap(core.Serial(setTag("p", 1), inc(1)), 2)
 		}},
-		{"feedback-star", false, func() *core.Entity {
-			arm := setTag("s", 2)
-			dec := core.NewFilter("", core.FilterRule{
-				Pattern: rtype.NewPattern(rtype.NewVariant(rtype.T("s"))),
-				Outputs: []core.FilterOutput{{SetTags: []core.TagAssign{{
-					Name: "s",
-					Expr: func(r *record.Record) int { v, _ := r.Tag("s"); return v - 1 },
-					Src:  "s-=1",
-				}}}},
-			})
-			exit := rtype.NewPattern(rtype.NewVariant(rtype.T("s"))).
-				WithGuard(func(r *record.Record) bool { v, _ := r.Tag("s"); return v <= 0 }, "s<=0")
-			return core.Serial(arm, core.FeedbackStar(core.Serial(inc(1), dec), exit))
-		}},
 		{"split", false, func() *core.Entity {
 			return core.Split(core.Serial(setTag("p", 1), inc(1)), "k")
 		}},
@@ -231,14 +217,11 @@ func merger() *core.Entity {
 }
 
 // mergerInputs is three keys' windows of unfold+1 readings each,
-// interleaved; with short set, a fourth key stops one reading early, so its
+// interleaved, plus a fourth key that stops one reading early, so its
 // accumulator is still waiting in a synchrocell when the input closes.
-func mergerInputs(unfold int, short bool) func() []*record.Record {
+func mergerInputs(unfold int) func() []*record.Record {
 	return func() []*record.Record {
-		keys := 3
-		if short {
-			keys = 4
-		}
+		const keys = 4
 		var ins []*record.Record
 		for i := 0; i <= unfold; i++ {
 			for k := 0; k < keys; k++ {
@@ -258,34 +241,29 @@ func mergerInputs(unfold int, short bool) func() []*record.Record {
 
 // TestMergerIdiom runs the Fig. 3 idiom — the shape a star unfolding fuses
 // into one goroutine — at 1, 16 and 64 unfoldings, record-at-a-time and
-// batched links, with and without the ingress journal, and with
-// synchrocell storage both discarded and flushed at close. Flushing a
-// partly filled cell under a star never terminates (core.Options), so only
-// the discarding runs get the window that stops short.
+// batched links, with and without the ingress journal; one window stops
+// short, so a synchrocell still holds a record when the input closes.
 func TestMergerIdiom(t *testing.T) {
 	for _, unfold := range []int{1, 16, 64} {
 		for _, bs := range []int{1, 16} {
-			for _, flush := range []bool{false, true} {
-				for _, durable := range []bool{false, true} {
-					name := fmt.Sprintf("unfold%d/batch%d/flush=%v/durable=%v", unfold, bs, flush, durable)
-					t.Run(name, func(t *testing.T) {
-						Check(t, merger(), Config{
-							Opts:    core.Options{BatchSize: bs, FlushSyncOnClose: flush},
-							Durable: durable,
-						}, mergerInputs(unfold, !flush))
-					})
-				}
+			for _, durable := range []bool{false, true} {
+				name := fmt.Sprintf("unfold%d/batch%d/durable=%v", unfold, bs, durable)
+				t.Run(name, func(t *testing.T) {
+					Check(t, merger(), Config{
+						Opts:    core.Options{BatchSize: bs},
+						Durable: durable,
+					}, mergerInputs(unfold))
+				})
 			}
 		}
 	}
 }
 
-// TestSyncCloseThroughFusedStages closes a synchrocell that holds a record:
-// flushed, the record must still run through the stages fused behind the
-// cell (a fan-out filter, then a stamp); discarded, its delivery must
-// complete. Either way the fused tree and the tree as written agree, with
-// and without the journal.
-func TestSyncCloseThroughFusedStages(t *testing.T) {
+// TestSyncCloseBeforeFusedStages closes a synchrocell that holds a record,
+// with stages fused behind the cell (a fan-out filter, then a stamp): the
+// record is discarded and its delivery must complete. The fused tree and
+// the tree as written agree, with and without the journal.
+func TestSyncCloseBeforeFusedStages(t *testing.T) {
 	build := func() *core.Entity {
 		fan := core.NewFilter("", core.FilterRule{
 			Pattern: rtype.NewPattern(rtype.NewVariant()),
@@ -303,16 +281,10 @@ func TestSyncCloseThroughFusedStages(t *testing.T) {
 			fan,
 			setTag("q", 2))
 	}
-	for _, flush := range []bool{false, true} {
-		for _, durable := range []bool{false, true} {
-			t.Run(fmt.Sprintf("flush=%v/durable=%v", flush, durable), func(t *testing.T) {
-				Check(t, build(), Config{
-					Ordered: true,
-					Opts:    core.Options{FlushSyncOnClose: flush},
-					Durable: durable,
-				}, xrecs(6))
-			})
-		}
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			Check(t, build(), Config{Ordered: true, Durable: durable}, xrecs(6))
+		})
 	}
 }
 

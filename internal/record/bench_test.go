@@ -122,18 +122,19 @@ func BenchmarkShapeHash(b *testing.B) {
 	}
 }
 
-// BenchmarkMarshal measures the stateless (v1) wire encoding.
+// BenchmarkMarshal measures a link's first message: every label defined
+// inline, by name.
 func BenchmarkMarshal(b *testing.B) {
 	r := typicalRecord()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := dist.Marshal(r); err != nil {
+		if _, err := dist.NewCodec().Marshal(r); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkMarshalNegotiated measures the v2 link codec in steady state,
+// BenchmarkMarshalNegotiated measures the link codec in steady state,
 // after the label table has been negotiated.
 func BenchmarkMarshalNegotiated(b *testing.B) {
 	r := typicalRecord()

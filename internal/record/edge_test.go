@@ -163,24 +163,13 @@ func TestResetReuse(t *testing.T) {
 	}
 }
 
-// TestTriggerCodecRoundTrips checks that control records survive every wire
-// path: the stateless v1 codec, and a negotiated v2 link mid-stream (after
-// data records have populated the label table).
+// TestTriggerCodecRoundTrips checks that control records survive a
+// negotiated link mid-stream (after data records have populated the label
+// table); a trigger as a fresh link's first message is
+// dist.TestCodecTriggerRoundTrip.
 func TestTriggerCodecRoundTrips(t *testing.T) {
-	// Stateless v1.
-	buf, err := dist.Marshal(record.NewTrigger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dist.Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IsData() {
-		t.Fatal("v1: trigger decoded as data")
-	}
-	// Negotiated v2 link: data, trigger, data — the trailing data record
-	// must still resolve its (table-only) label references.
+	// data, trigger, data — the trailing data record must still resolve
+	// its (table-only) label references.
 	enc, dec := dist.NewCodec(), dist.NewCodec()
 	data := record.New().SetField("chunk", "payload").SetTag("tasks", 48)
 	for i, r := range []*record.Record{data, record.NewTrigger(), data.Copy()} {
@@ -259,8 +248,5 @@ func TestCodecV2CrossLinkIsolation(t *testing.T) {
 	}
 	if _, err := dist.NewCodec().Unmarshal(refOnly); err == nil {
 		t.Fatal("foreign link decoded a reference-only buffer")
-	}
-	if _, err := dist.Unmarshal(refOnly); err == nil {
-		t.Fatal("stateless Unmarshal decoded a reference-only buffer")
 	}
 }

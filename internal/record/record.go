@@ -437,7 +437,7 @@ func (r *Record) NumTags() int { return len(r.tags) }
 func (r *Record) NumBTags() int { return len(r.btags) }
 
 // Fields returns the field labels in sorted (name) order. It allocates; hot
-// paths should use VisitFields or the Sym-based accessors instead.
+// paths should use VisitFieldSyms or the Sym-based accessors instead.
 func (r *Record) Fields() []string {
 	names := symNames()
 	ks := make([]string, len(r.fields))
@@ -462,32 +462,6 @@ func tagNames(s []tagEntry) []string {
 	}
 	sort.Strings(ks)
 	return ks
-}
-
-// VisitFields calls fn for every field binding, in symbol order. It avoids
-// the allocation and name sort of Fields() for callers that only fold over
-// the bindings (such as the wire codec's size accounting).
-func (r *Record) VisitFields(fn func(label string, value any)) {
-	names := symNames()
-	for i := range r.fields {
-		fn(names[r.fields[i].id], r.fields[i].val)
-	}
-}
-
-// VisitTags calls fn for every tag binding, in symbol order.
-func (r *Record) VisitTags(fn func(label string, value int)) {
-	names := symNames()
-	for i := range r.tags {
-		fn(names[r.tags[i].id], r.tags[i].val)
-	}
-}
-
-// VisitBTags calls fn for every binding-tag binding, in symbol order.
-func (r *Record) VisitBTags(fn func(label string, value int)) {
-	names := symNames()
-	for i := range r.btags {
-		fn(names[r.btags[i].id], r.btags[i].val)
-	}
 }
 
 // VisitFieldSyms calls fn for every field binding in ascending symbol

@@ -417,3 +417,14 @@ var PaperTaskTokenCounts = []int{8, 16, 32, 48, 64, 72}
 
 // PaperNodeCounts are the node counts of Fig. 6.
 var PaperNodeCounts = []int{1, 2, 4, 6, 8}
+
+// PaperFig6 holds the published Fig. 6 (left) values in seconds, one row
+// per PaperNodeCounts entry; Fig6Speedup(PaperFig6) is the published
+// Fig. 6 (right). TestFig6WithinTolerance states how close Fig6 comes.
+var PaperFig6 = []Fig6Row{
+	{Nodes: 1, SNetStatic: 941.87, SNetStatic2: 829.74, MPI: 650.99, MPI2: 401.80, BestDynamic: 953.18},
+	{Nodes: 2, SNetStatic: 402.75, SNetStatic2: 329.14, MPI: 405.95, MPI2: 211.77, BestDynamic: 228.52},
+	{Nodes: 4, SNetStatic: 217.97, SNetStatic2: 204.23, MPI: 213.43, MPI2: 139.00, BestDynamic: 119.77},
+	{Nodes: 6, SNetStatic: 158.58, SNetStatic2: 143.33, MPI: 163.83, MPI2: 105.61, BestDynamic: 76.39},
+	{Nodes: 8, SNetStatic: 132.66, SNetStatic2: 121.99, MPI: 136.23, MPI2: 87.01, BestDynamic: 61.84},
+}

@@ -157,7 +157,7 @@ type Link struct {
 
 // Exhausted reports whether the receiver has observed end-of-stream: the
 // link is closed and fully drained, so its counters are final. Registries
-// tracking many short-lived links (star unfoldings, feedback generations)
+// tracking many short-lived links (star unfoldings, split replicas)
 // use it to fold finished links into an aggregate instead of pinning them
 // forever.
 func (l *Link) Exhausted() bool { return l.exhausted.Load() }

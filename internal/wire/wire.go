@@ -59,7 +59,7 @@
 // that link's codec pair and returns the node to the schedulable set. See
 // docs/architecture.md "Failure model" for the full state machine.
 //
-// Record payloads use the negotiated v2 codec (dist.Codec): each direction
+// Record payloads use the negotiated link codec (dist.Codec): each direction
 // of each connection owns one codec pair, so a label name crosses each
 // socket exactly once and steady-state records carry symbol references.
 // Non-scalar field values (scenes, image chunks) cross through a

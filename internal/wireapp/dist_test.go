@@ -180,7 +180,8 @@ func TestTwoProcessRaytracePixelIdentical(t *testing.T) {
 
 // TestPipelineInProcessMatchesWire runs the identical program on a plain
 // dist.Cluster — the "same program, different platform" half of the claim
-// the wire tests exercise, and the in-process baseline for BENCH_wire.
+// the wire tests exercise, and the reference the benchmark's wire_pipeline
+// workload checks its results against.
 func TestPipelineInProcessMatchesWire(t *testing.T) {
 	leakcheck.Check(t)
 	res, err := RunPipeline(newLocalCluster(3, 1), 8, time.Millisecond)

@@ -345,15 +345,6 @@ func Identity() *Entity { return core.Identity() }
 // NewSync builds a synchrocell [| p1, p2, ... |].
 func NewSync(patterns ...*Pattern) *Entity { return core.NewSync(patterns...) }
 
-// FeedbackStar is an extension beyond the paper: a feedback variant of the
-// star combinator that re-circulates non-exit records through a single
-// operand instance instead of unrolling replicas. Operands may consume
-// records without emitting or emit several exits per input (shutdown
-// drains in generations, see core.FeedbackStar), but must be stateless
-// across records — no synchrocells. It exists for the unroll-versus-
-// feedback ablation benchmark; the compiler never emits it.
-func FeedbackStar(a *Entity, exit *Pattern) *Entity { return core.FeedbackStar(a, exit) }
-
 // ObserveDirection tells an observer callback whether a record was entering
 // or leaving the observed entity.
 type ObserveDirection = core.ObserveDirection

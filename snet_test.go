@@ -276,7 +276,7 @@ func TestFacadeRemainingSurface(t *testing.T) {
 		t.Fatalf("half = %d", v)
 	}
 
-	// Sync + Choice + Star + FeedbackStar through the facade.
+	// Sync + Choice + Star through the facade.
 	sync := snet.NewSync(
 		snet.NewPattern(snet.NewVariant(snet.F("a"))),
 		snet.NewPattern(snet.NewVariant(snet.F("b"))),
@@ -298,11 +298,9 @@ func TestFacadeRemainingSurface(t *testing.T) {
 			c.Emit(snet.NewRecord().SetTag("n", c.Tag("n")+1))
 			return nil
 		})
-	for _, star := range []*snet.Entity{snet.Star(bump, exit), snet.FeedbackStar(bump, exit)} {
-		outs, err = snet.NewNetwork(star, snet.Options{}).Run(snet.NewRecord().SetTag("n", 0))
-		if err != nil || len(outs) != 1 {
-			t.Fatalf("star outs=%v err=%v", outs, err)
-		}
+	outs, err = snet.NewNetwork(snet.Star(bump, exit), snet.Options{}).Run(snet.NewRecord().SetTag("n", 0))
+	if err != nil || len(outs) != 1 {
+		t.Fatalf("star outs=%v err=%v", outs, err)
 	}
 
 	choice := snet.Choice(bump, snet.Identity())
