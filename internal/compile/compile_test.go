@@ -260,6 +260,33 @@ func TestCompileExprStandalone(t *testing.T) {
 	}
 }
 
+// TestCompileDeepestChain: the parser's nesting limit counts the operators of
+// a flat chain, because an n-fold a..b..c is an AST n deep and everything that
+// walks it recurses n deep. What the limit lets through must be safe to walk:
+// a chain one short of it (the limit is 10 000; one operator more is a parse
+// error) prints, compiles, and runs.
+func TestCompileDeepestChain(t *testing.T) {
+	const ops = 9_999
+	e, err := lang.ParseExpr("[ {<n>} -> {<n+=1>} ]" + strings.Repeat("..[]", ops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if printed := e.String(); strings.Count(printed, "..") != ops {
+		t.Fatalf("printed form has %d operators, want %d", strings.Count(printed, ".."), ops)
+	}
+	ent, _, err := Expr(e, NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := core.NewNetwork(ent, core.Options{}).Run(record.Build().T("n", 0).Rec())
+	if err != nil || len(outs) != 1 {
+		t.Fatalf("outs=%v err=%v", outs, err)
+	}
+	if v, _ := outs[0].Tag("n"); v != 1 {
+		t.Fatalf("n = %d, want 1", v)
+	}
+}
+
 func TestCompileMinusEqAndUnaryMinus(t *testing.T) {
 	res, err := Source(`net f connect [ {<n>} -> {<n -= 2>, <m = -3>} ];`, NewRegistry())
 	if err != nil {

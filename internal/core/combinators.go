@@ -313,18 +313,18 @@ func combName(branches []*Entity, sep string) string {
 // model, hop by hop.
 func Star(a *Entity, exit *rtype.Pattern) *Entity { return starEnt(a, exit, false) }
 
-// starEnt builds the star. With inline set — by the optimizer, through the
-// rebuild hook, when the operand is a stage tree — an unfolding does not
-// spawn the operand: the tap runs it in its own stack, so the unfolding is
-// one goroutine and one link (to the next tap) whatever the operand holds.
-func starEnt(a *Entity, exit *rtype.Pattern, inline bool) *Entity {
+// starEnt builds the star. With chained set — by the optimizer, through the
+// rebuild hook, when the operand is a stage tree — the unfoldings do not
+// spawn the operand: one driver goroutine runs a whole run of them in its
+// own stack (see star.drive).
+func starEnt(a *Entity, exit *rtype.Pattern, chained bool) *Entity {
 	inT := a.sig.In.Union(rtype.NewType(exit.Variant))
 	return &Entity{
 		nameFn: func() string { return fmt.Sprintf("(%s*%s)", a.Name(), exit) },
 		sig:    rtype.NewSignature(inT, rtype.NewType(exit.Variant)),
 		kids:   []*Entity{a},
 		kind:   kindStar,
-		inline: inline,
+		chain:  chained,
 		// Records only leave through the exit tap, so the output type
 		// holds structurally even when the operand's does not.
 		detDepth: a.detDepth,
@@ -332,78 +332,255 @@ func starEnt(a *Entity, exit *rtype.Pattern, inline bool) *Entity {
 			return starEnt(kids[0], exit, kids[0].stages != nil)
 		},
 		spawn: func(env *Env, in, out *stream.Link) {
-			coll := newCollector(env, out, 1)
-			env.start(func() { starStage(env, a, exit, inline, in, coll, 0, env.node) })
+			s := &star{env: env, a: a, exit: exit, coll: newCollector(env, out, 1)}
+			if chained {
+				c := s.newChain(0)
+				env.start(func() { s.drive(in, env.node, c) })
+			} else {
+				env.start(func() { s.stage(in, 0, env.node) })
+			}
 		},
 	}
 }
 
-// starStage is one unfolding of a star: the tap in front of replica k (the
-// depth). It emits exit-matching records to the shared collector and lazily
-// creates replica k plus the next stage when the first non-exit record
-// arrives. inNode is the node the stage's input records are produced on
-// (the previous replica's placement); records it receives from there, and
-// records it dispatches to a replica placed elsewhere, are charged to the
-// platform's transfer model — the same charges whether the replica is
-// spawned or runs inline (its boxes execute on the replica's node either
-// way).
-func starStage(env *Env, a *Entity, exit *rtype.Pattern, inline bool, in *stream.Link, coll *collector, depth, inNode int) {
-	defer coll.done()
-	// From the first non-exit record on the replica exists: spawned behind
-	// instIn, or run here as machine m. Either way its output is instOut,
-	// the next tap's input.
-	var instIn, instOut *stream.Link
-	var m *machine
-	instNode := env.node
+// star is one running star: what every tap needs, whichever way the
+// unfoldings run — the operand spawned per unfolding (stage) or a stage-tree
+// operand run by chain drivers (drive). The tap's part of the platform's
+// transfer model is here, once, for both.
+type star struct {
+	env  *Env // the star's own placement: every tap runs here
+	a    *Entity
+	exit *rtype.Pattern
+	coll *collector // where records leave the star
+}
+
+// recv takes a tap's next input record. inNode is the node the tap's input is
+// produced on (the previous replica's placement): a data record travelled
+// from there to the tap and is charged to the platform's transfer model.
+func (s *star) recv(in *stream.Link, inNode int) (*record.Record, bool) {
+	r, ok := s.env.recv(in)
+	if ok && r.IsData() {
+		s.env.transfer(inNode, s.env.node, r)
+	}
+	return r, ok
+}
+
+// leaves reports whether r leaves the star at a tap: it matches the exit
+// pattern, or it is a control record.
+func (s *star) leaves(r *record.Record) bool { return !r.IsData() || s.exit.Matches(r) }
+
+// place resolves where the replica at depth runs, the moment it is
+// instantiated: the stage depth is the dispatch key.
+func (s *star) place(depth int, scratch *[]int) *Env {
+	if s.env.dynamicPlacer() == nil {
+		return s.env
+	}
+	if node := s.env.place(depth, scratch); node != s.env.node {
+		return s.env.At(node)
+	}
+	return s.env
+}
+
+// dispatch charges r's hop from the tap to a replica placed at at.
+func (s *star) dispatch(at *Env, r *record.Record) {
+	s.env.transfer(s.env.node, at.node, r)
+}
+
+// stage is one unfolding of a star whose operand is spawned: the tap in
+// front of replica depth. It emits exit-matching records to the shared
+// collector and lazily creates the replica plus the next stage when the
+// first non-exit record arrives.
+func (s *star) stage(in *stream.Link, depth, inNode int) {
+	env := s.env
+	defer s.coll.done()
+	var instIn *stream.Link // the replica's input, once it exists
+	inst := env
 	defer func() {
-		if m != nil {
-			m.close(instOut)
-		} else if instIn != nil {
+		if instIn != nil {
 			env.closeLink(instIn)
 		}
 	}()
 	for {
-		r, ok := env.recv(in)
+		r, ok := s.recv(in, inNode)
 		if !ok {
 			return
 		}
-		if r.IsData() {
-			// The record travelled from the producing replica's node to
-			// this tap.
-			env.transfer(inNode, env.node, r)
-		}
-		if !r.IsData() || exit.Matches(r) {
-			if !coll.send(r) {
+		if s.leaves(r) {
+			if !s.coll.send(r) {
 				return
 			}
 			continue
 		}
-		if instOut == nil {
-			instEnv := env
-			if env.dynamicPlacer() != nil {
-				var scratch []int
-				instNode = env.place(depth, &scratch)
-				instEnv = env.At(instNode)
-			}
-			instOut = env.newLink()
-			if inline {
-				m = newMachine(instEnv, a)
-			} else {
-				instIn = env.newLink()
-				a.spawn(instEnv, instIn, instOut)
-			}
-			coll.add(1)
-			env.start(func() { starStage(env, a, exit, inline, instOut, coll, depth+1, instNode) })
+		if instIn == nil {
+			var scratch []int
+			inst = s.place(depth, &scratch)
+			instIn = env.newLink()
+			instOut := env.newLink()
+			s.a.spawn(inst, instIn, instOut)
+			s.coll.add(1)
+			node := inst.node
+			env.start(func() { s.stage(instOut, depth+1, node) })
 		}
-		env.transfer(env.node, instNode, r)
-		if m != nil {
-			if !m.feed(r, instOut) {
-				return
-			}
-		} else if !env.send(instIn, r) {
+		s.dispatch(inst, r)
+		if !env.send(instIn, r) {
 			return
 		}
 	}
+}
+
+// stopCheckEvery is how many steps a chain driver takes between two looks at
+// the instance's done channel.
+const stopCheckEvery = 64
+
+// chain is the run of unfoldings one driver owns: the replicas at depth,
+// depth+1, … depth+n-1 as instantiations of one machine, and the hand-off
+// behind the last of them, if there is one.
+type chain struct {
+	m        *machine
+	depth, n int
+	next     *stream.Link // hand-off: where replica n-1's output goes
+	lastEnv  *Env         // replica n-1's placement when next is set
+}
+
+// chainItem is a record on its way through a chain, in front of the tap of
+// the driver's i-th unfolding.
+type chainItem struct {
+	r *record.Record
+	i int
+}
+
+// newChain is the chain of a driver that starts at depth, nothing
+// instantiated yet.
+func (s *star) newChain(depth int) chain {
+	return chain{m: newMachine(s.env, s.a), depth: depth}
+}
+
+// drive runs a chain: the taps in front of its replicas and the replicas
+// themselves, in one goroutine. A record from in meets the first tap; what
+// the replica there puts out meets the next tap, and so on until everything
+// has left through an exit tap or come to rest in a synchrocell — only then
+// is the next record received. The way is walked depth first over an
+// explicit stack of (record, unfolding), the way machine.run walks a stage
+// tree: one record is taken as far as it goes before its sibling moves, so
+// every tap still sees its predecessor's output in order, as it would over a
+// link; an exit match is sent the moment it is found, so a slow reader holds
+// the driver back as it held a tap back; what waits is at most one replica's
+// fan-out per unfolding; and star depth is a loop count, never Go stack
+// depth. Control records leave at the first tap, behind all the data that
+// came in front of them.
+//
+// The driver hands off — replica k's output leaves over a link to a new
+// driver that owns the unfoldings from k+1 on, which is what every unfolding
+// used to do — only where a goroutine buys overlap:
+//
+//   - the placement policy puts replica k on another node than the star's.
+//     The hops there and back are charged to the platform's transfer model
+//     exactly as a tap per unfolding charged them, and a modelled hop sleeps:
+//     the driver behind the link takes the return hop while this one moves
+//     on, and hands off after its first replica in turn, so no driver sleeps
+//     both for a return hop and for the hop out to the next replica placed
+//     elsewhere unless the two are neighbours, as a tap's were;
+//   - replica k ran its box on a record no synchrocell released in the same
+//     pass: there is no cell in front of the box, or the cells have fired and
+//     are the identity now. Such a box runs on every record that matches it,
+//     so unfoldings pipeline. A box that only ever runs on a join runs once
+//     per join, and the unfoldings are serial by data dependence.
+//
+// Close discards what the synchrocells still hold, in depth order, then
+// closes the hand-off link and signs off from the collector.
+func (s *star) drive(in *stream.Link, inNode int, c chain) {
+	env, m := s.env, c.m
+	defer s.coll.done()
+	defer func() {
+		m.discardStored()
+		if c.next != nil {
+			env.closeLink(c.next)
+		}
+	}()
+	var (
+		scratch []int // placement load snapshot
+		work    []chainItem
+	)
+	for {
+		r, ok := s.recv(in, inNode)
+		if !ok {
+			return
+		}
+		work = append(work, chainItem{r, 0})
+		for steps := 1; len(work) > 0; steps++ {
+			// Nothing below blocks unless a box or a full collector does, so
+			// a long way through the unfoldings has to look for Stop itself.
+			if steps%stopCheckEvery == 0 && env.stopped() {
+				return
+			}
+			top := len(work) - 1
+			r, i := work[top].r, work[top].i
+			work[top].r = nil
+			work = work[:top]
+			if s.leaves(r) {
+				if !s.coll.send(r) {
+					return
+				}
+				continue
+			}
+			if i == c.n {
+				c.n++
+				m.instantiate()
+				// A replica elsewhere is the last this driver owns, and so is
+				// the first behind a return hop.
+				if at := s.place(c.depth+i, &scratch); at != env || (i == 0 && inNode != env.node) {
+					s.handOff(&c, i, at)
+				}
+			}
+			// With a hand-off, replica n-1's output leaves over next, from
+			// its own node's environment.
+			last := c.next != nil && i == c.n-1
+			at := env
+			if last {
+				at = c.lastEnv
+				s.dispatch(at, r)
+			}
+			if m.env != at {
+				m.env, m.call.env = at, at
+			}
+			m.use(i)
+			m.joined, m.ranUngated = false, false
+			if !m.run(m.ent.stages, r, nil) {
+				return
+			}
+			if m.ranUngated && !last {
+				s.handOff(&c, i, env)
+				last = true
+			}
+			if last {
+				if !m.deliver(c.next) {
+					return
+				}
+				continue
+			}
+			// The outputs meet the next tap, the first of them first.
+			outs := m.call.pending
+			for j := len(outs) - 1; j >= 0; j-- {
+				work = append(work, chainItem{outs[j], i + 1})
+				outs[j] = nil
+			}
+			m.call.pending = outs[:0]
+		}
+	}
+}
+
+// handOff cuts chain c behind its i-th replica, which runs at at: a new
+// driver takes over the unfoldings behind it — their state, and the hand-off
+// c had — and c's i-th replica puts out over a link to it from now on.
+func (s *star) handOff(c *chain, i int, at *Env) {
+	k := i + 1
+	rest := s.newChain(c.depth + k)
+	rest.n, rest.next, rest.lastEnv = c.n-k, c.next, c.lastEnv
+	c.m.moveState(rest.m, k)
+	in := s.env.newLink()
+	c.n, c.next, c.lastEnv = k, in, at
+	s.coll.add(1)
+	s.env.start(func() { s.drive(in, at.node, rest) })
 }
 
 // Split builds the indexed parallel replication A!<tag>: one replica of A
@@ -537,7 +714,7 @@ func splitImpl(a *Entity, tag string, nameFn func() string, placed bool) *Entity
 				instOut := env.newLink()
 				a.spawn(env.At(node), instIn, instOut)
 				startReturn(node, instOut)
-				// One record, one hop — accounted like starStage's and
+				// One record, one hop — accounted like a star tap's and
 				// the steal scheduler's single-record moves.
 				env.transfer(env.node, node, r)
 				if !env.send(instIn, r) {

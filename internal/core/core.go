@@ -585,7 +585,7 @@ const (
 	kindChoice    // n-ary nondeterministic choice; kids are the leaves
 	kindDetChoice // n-ary deterministic choice; kids are the leaves
 	kindFused     // optimizer-built single-goroutine stage tree
-	kindStar      // serial replication; rebuild inlines a stage-tree operand
+	kindStar      // serial replication; rebuild chains a stage-tree operand
 )
 
 // Entity is a SISO network component: a box, filter, synchrocell, or a
@@ -619,10 +619,10 @@ type Entity struct {
 	// nesting of its parts' trees, and keeps the parts as kids.
 	stages []fuseStage
 	layout stageLayout
-	// inline (kindStar) makes every unfolding run the operand's stage tree
-	// inside its tap goroutine instead of spawning it. Only the optimizer
-	// sets it.
-	inline bool
+	// chain (kindStar) makes the star run its unfoldings — operand stage
+	// tree and tap — in a driver goroutine instead of spawning the operand
+	// per unfolding (see star.drive). Only the optimizer sets it.
+	chain bool
 	// selTree/selCursors drive choice dispatch (kindChoice/kindDetChoice):
 	// the selector tree reproduces nested round-robin tie-breaking over
 	// the flattened leaf list; selCursors is the number of cursor slots a
@@ -692,8 +692,11 @@ func (e *Entity) Spawn(env *Env, in, out *stream.Link) {
 // Describe renders the entity tree with names and signatures, one entity
 // per line, indented by depth. Under a fused entity the lines are its stage
 // tree — what the one goroutine executes in its own stack: each stage with
-// its kind, a choice stage's branches marked "|" with their stages below.
-// It is used by the snetc command.
+// its kind, a choice stage's branches marked "|" with their stages below. A
+// star that runs its unfoldings as a chain says so, and why it hands off to a
+// new driver at every unfolding when it does (its depth no longer shows in
+// LinkStats: a chain has no link per unfolding). It is used by the snetc
+// command.
 func (e *Entity) Describe() string {
 	var b []byte
 	line := func(depth int, prefix string, ent *Entity) {
@@ -704,6 +707,12 @@ func (e *Entity) Describe() string {
 		b = append(b, ent.Name()...)
 		b = append(b, "  :: "...)
 		b = append(b, ent.sig.String()...)
+		if ent.chain {
+			b = append(b, "  -- chain"...)
+			if ent.kids[0].layout.ungated {
+				b = append(b, ", hand-off at every unfolding: ungated box"...)
+			}
+		}
 		b = append(b, '\n')
 	}
 	var stages func(ss []fuseStage, depth int)

@@ -10,7 +10,7 @@ const (
 	// OptimizeFull — the zero value, on by default — enables the whole
 	// rewrite catalogue: serial/choice flattening, identity elision, stage
 	// fusion (filters, a box, synchrocells, choices; star operands run in
-	// the tap), and signature-driven branch pruning.
+	// the star's chain driver), and signature-driven branch pruning.
 	OptimizeFull OptimizeLevel = iota
 	// OptimizeOff disables the optimizer: the tree spawns exactly as
 	// constructed. It is the escape hatch (and the reference side of the
@@ -46,9 +46,9 @@ type OptStats struct {
 	// SyncsFused and ChoicesFused count synchrocells and nondeterministic
 	// choices that became stages of a fused entity instead of goroutines
 	// of their own (a fused choice's branches are nested stage lists).
-	// StarOperandsInlined counts stars whose every unfolding runs the
-	// operand's stage tree inside the tap goroutine: one goroutine and one
-	// link per unfolding, whatever the operand holds.
+	// StarOperandsInlined counts stars whose operand — a stage tree — is not
+	// spawned per unfolding but run by the star's own chain driver (see
+	// star.drive): no goroutine and no link per unfolding on the star's node.
 	SyncsFused          int
 	ChoicesFused        int
 	StarOperandsInlined int
@@ -84,9 +84,11 @@ type OptStats struct {
 //     code that runs: a box, filter or synchrocell as written is the
 //     one-stage tree of the same stage machine (see fuseStage), and choice
 //     dispatch is pickBranch either way.
-//   - Star inlining: a star whose operand is a stage tree runs it inside
-//     each unfolding's tap goroutine instead of spawning it, so an
-//     unfolding costs one goroutine and one link.
+//   - Star chains: a star whose operand is a stage tree runs its
+//     unfoldings — tap and operand — as a chain in one driver goroutine
+//     instead of spawning the operand per unfolding; it hands off to a new
+//     driver only at an unfolding placed on another node and behind one
+//     whose box ran on a record no synchrocell released in the same pass.
 //   - Branch pruning: a choice branch no upstream record can ever win
 //     dispatch for (rtype.Dominated over the declared signatures, sound
 //     under flow inheritance) is removed; a choice left with one branch is
@@ -148,9 +150,9 @@ func (o *optimizer) rewrite(e *Entity) *Entity {
 		r = o.rewriteChoice(e)
 	case kindStar:
 		// Always rebuilt: the hook builds the star that runs a stage-tree
-		// operand in its taps.
+		// operand as a chain.
 		r = e.rebuild([]*Entity{o.operand(e.kids[0])})
-		if r.inline {
+		if r.chain {
 			o.stats.StarOperandsInlined++
 		}
 	default:

@@ -231,3 +231,45 @@ func TestStarUnfoldingPlacedByPolicy(t *testing.T) {
 		}
 	}
 }
+
+// stayHome is a dynamic policy that places everything on node 0.
+type stayHome struct{}
+
+func (stayHome) Place(_, _ int, _ []int) int { return 0 }
+
+// TestStarChainHandsOffAtNodeBoundaries: under a dynamic policy a chained
+// star still places every unfolding by depth, but only an unfolding that
+// leaves the star's node (or takes the hop back) costs a driver and a link;
+// unfoldings the policy keeps at home stay in the chain.
+func TestStarChainHandsOffAtNodeBoundaries(t *testing.T) {
+	leakcheck.Check(t)
+	const n = 16
+	links := func(p Placer) (int, []int) {
+		plat := newFakeCluster(2)
+		net, _ := foldIdiom(cntExit(n + 1))
+		inst := NewNetwork(net, Options{Platform: plat, Placer: p}).Start()
+		for _, r := range foldReadings(n + 1) {
+			inst.Send(r)
+		}
+		r := <-inst.Out
+		if acc, _ := r.Field("acc"); acc != (n+1)*(n+2)/2 {
+			t.Fatalf("placer %T: acc = %v", p, acc)
+		}
+		got := len(inst.LinkStats())
+		if err := inst.Close(); err != nil {
+			t.Fatalf("placer %T: %v", p, err)
+		}
+		return got, plat.execSnapshot()
+	}
+	if got, execs := links(stayHome{}); got > 3 || execs[1] != 0 {
+		t.Fatalf("everything placed at home: %d links, execs %v; want <= 3 links, none on node 1", got, execs)
+	}
+	// Alternating nodes: every unfolding either leaves home or returns.
+	got, execs := links(&RoundRobin{})
+	if got < n-1 || got > n+3 {
+		t.Fatalf("alternating placement: %d links for %d unfoldings, want about one each", got, n)
+	}
+	if execs[1] != n/2 {
+		t.Fatalf("alternating placement: execs %v, want %d folds on node 1", execs, n/2)
+	}
+}

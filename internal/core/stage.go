@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"snet/internal/record"
 	"snet/internal/rtype"
 	"snet/internal/stream"
@@ -55,7 +57,15 @@ type stageLayout struct {
 	syncs   int // synchrocells
 	scores  int // choice branches, all choices
 	cursors int // round-robin cursors, all choices
+	// ungated: a record entering the tree can reach a box stage without
+	// first crossing a synchrocell, so a chained star over it is certain to
+	// hand off at every unfolding (see star.drive). Describe says so.
+	ungated bool
 }
+
+// ints is how many integers one instantiation's state holds: a fill counter
+// per synchrocell and the choices' cursors.
+func (l *stageLayout) ints() int { return l.syncs + l.cursors }
 
 // cont is where records go after the end of a stage list: into the rest of
 // the enclosing list (what leaves a choice branch continues after the
@@ -96,13 +106,43 @@ func layoutStages(stages []fuseStage, l *stageLayout, k *cont) []fuseStage {
 	return out
 }
 
+// ungatedBox walks a stage list the way a record entering it would, up to
+// the first synchrocell on each path: box reports a box stage reached on the
+// way, through that some path leaves the list without meeting either.
+func ungatedBox(stages []fuseStage) (box, through bool) {
+	for i := range stages {
+		switch s := &stages[i]; s.kind {
+		case stageBox:
+			return true, false
+		case stageSync:
+			return false, false
+		case stageChoice:
+			through = false
+			for _, br := range s.branches {
+				b, t := ungatedBox(br)
+				if b {
+					return true, false
+				}
+				through = through || t
+			}
+			if !through {
+				return false, false
+			}
+		}
+	}
+	return false, true
+}
+
 // setStages makes e a stage-tree entity: it spawns as one goroutine driving
 // a machine over the tree.
 func (e *Entity) setStages(stages []fuseStage) {
 	e.stages = layoutStages(stages, &e.layout, nil)
+	e.layout.ungated, _ = ungatedBox(e.stages)
 	e.spawn = func(env *Env, in, out *stream.Link) {
 		env.start(func() {
 			m := newMachine(env, e)
+			m.instantiate()
+			m.use(0)
 			defer m.close(out)
 			for {
 				r, ok := env.recv(in)
@@ -129,15 +169,21 @@ func (e *Entity) setStages(stages []fuseStage) {
 // front only spills to the heap when one record fans out wider than this.
 const frontCap = 8
 
-// syncFired marks a fired synchrocell in machine.filled.
+// syncFired marks a fired synchrocell in its fill counter (machine.ints).
 const syncFired = -1
 
-// machine is one instantiation of a stage tree: all the mutable state the
-// stages need, in one allocation (plus the box execution closure). The
-// slices are views of the inline arrays unless the tree needs more.
+// machine runs a stage tree for one goroutine: the box call context and
+// execution closure, the dispatch score cache, and the state of every
+// instantiation of the tree the goroutine owns, laid end to end — one for a
+// stage-tree entity, one per unfolding reached for a star chain (star.drive).
+// Instantiations run one at a time, so they share everything that is not
+// state: what an instantiation adds is its synchrocell slots, fill counters
+// and choice cursors, nothing at all for a tree without either. The inline
+// arrays back the first instantiations; a plain entity's machine is one
+// allocation (plus the box execution closure).
 type machine struct {
-	env    *Env
-	stages []fuseStage
+	env *Env
+	ent *Entity // the stage tree: ent.stages, sized by ent.layout
 
 	// call/exec are the box stages' reusable call context and execution
 	// closure (boxes are sequential per instance, and stages of one machine
@@ -148,10 +194,22 @@ type machine struct {
 	call BoxCall
 	exec func()
 
-	stored  []*record.Record // synchrocell storage, by fuseStage.slot
-	filled  []int            // per synchrocell: slots filled, or syncFired
-	cursors []int            // round-robin tie cursors, by fuseStage.idx
-	scores  []branchState    // dispatch score cache, by fuseStage.slot
+	scores []branchState // dispatch score cache, by fuseStage.slot
+
+	// State, layout.slots and layout.ints() entries per instantiation: the
+	// synchrocell storage by fuseStage.slot; per synchrocell the slots
+	// filled (or syncFired) by fuseStage.idx, then the round-robin tie
+	// cursors by fuseStage.idx. The stages run on the instantiation whose
+	// state starts at sb and ib (see use).
+	stored []*record.Record
+	ints   []int
+	sb, ib int
+
+	// joined: a synchrocell has fired in the current pass and no box has run
+	// on what it released yet. ranUngated: a box ran in the current pass on a
+	// record no join released. A chain driver clears both before a pass and
+	// hands off behind a replica whose box ran ungated.
+	joined, ranUngated bool
 
 	storedArr [4]*record.Record
 	intArr    [4]int
@@ -159,27 +217,50 @@ type machine struct {
 }
 
 func newMachine(env *Env, e *Entity) *machine {
-	m := &machine{env: env, stages: e.stages}
-	l := &e.layout
+	m := &machine{env: env, ent: e}
 	m.call.env = env
 	m.call.pending = m.call.pendArr[:0]
-	if l.boxes > 0 {
+	if e.layout.boxes > 0 {
 		m.exec = boxRunner(&m.call)
 	}
-	m.stored = m.storedArr[:]
-	if l.slots > len(m.storedArr) {
-		m.stored = make([]*record.Record, l.slots)
-	}
-	ints := m.intArr[:]
-	if n := l.syncs + l.cursors; n > len(m.intArr) {
-		ints = make([]int, n)
-	}
-	m.filled, m.cursors = ints[:l.syncs], ints[l.syncs:]
 	m.scores = m.scoreArr[:]
-	if l.scores > len(m.scoreArr) {
-		m.scores = make([]branchState, l.scores)
+	if e.layout.scores > len(m.scoreArr) {
+		m.scores = make([]branchState, e.layout.scores)
 	}
+	m.stored, m.ints = m.storedArr[:0], m.intArr[:0]
 	return m
+}
+
+// instantiate adds the (zero) state of one more instantiation of the tree,
+// after the ones there are.
+func (m *machine) instantiate() {
+	l := &m.ent.layout
+	m.stored = slices.Grow(m.stored, l.slots)[:len(m.stored)+l.slots]
+	m.ints = slices.Grow(m.ints, l.ints())[:len(m.ints)+l.ints()]
+}
+
+// use points the stages at instantiation i's state.
+func (m *machine) use(i int) {
+	l := &m.ent.layout
+	m.sb, m.ib = i*l.slots, i*l.ints()
+}
+
+// moveState moves the state of instantiations k and up to dst, a machine of
+// the same tree that has none.
+func (m *machine) moveState(dst *machine, k int) {
+	l := &m.ent.layout
+	s, i := k*l.slots, k*l.ints()
+	dst.stored = append(dst.stored, m.stored[s:]...)
+	dst.ints = append(dst.ints, m.ints[i:]...)
+	// instantiate expects zeroes past the end.
+	clear(m.stored[s:])
+	clear(m.ints[i:])
+	m.stored, m.ints = m.stored[:s], m.ints[:i]
+}
+
+// cursors returns the current instantiation's tie cursors from the idx-th on.
+func (m *machine) cursors(idx int) []int {
+	return m.ints[m.ib+m.ent.layout.syncs+idx:]
 }
 
 // feed runs one data record through the whole tree and delivers what comes
@@ -187,7 +268,7 @@ func newMachine(env *Env, e *Entity) *machine {
 // instance was stopped; the caller unwinds (in-flight records are dropped
 // like any stopped instance's).
 func (m *machine) feed(r *record.Record, out *stream.Link) bool {
-	return m.run(m.stages, r, nil) && m.deliver(out)
+	return m.run(m.ent.stages, r, nil) && m.deliver(out)
 }
 
 // deliver sends what the stages put out, dropping the references so
@@ -225,7 +306,7 @@ func (m *machine) run(stages []fuseStage, r *record.Record, k *cont) bool {
 	switch {
 	case s.kind == stageChoice:
 		n := len(s.branches)
-		best := pickBranch(m.env, s.ent, m.scores[s.slot:s.slot+n], m.cursors[s.idx:], r)
+		best := pickBranch(m.env, s.ent, m.scores[s.slot:s.slot+n], m.cursors(s.idx), r)
 		return best < 0 || m.run(s.branches[best], r, s.after)
 	case len(rest) > 0 || k != nil:
 		var buf [frontCap]*record.Record
@@ -282,6 +363,10 @@ func (m *machine) boxCall(s *fuseStage, r *record.Record) bool {
 	call.box = s.box
 	call.base = len(call.pending)
 	matched, ok, dead := s.box.attempt(call, m.exec, r)
+	if matched {
+		m.ranUngated = m.ranUngated || !m.joined
+		m.joined = false
+	}
 	if ok && matched && !dead && !finishCall(call, r) {
 		recycle(r)
 	}

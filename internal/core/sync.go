@@ -47,11 +47,11 @@ func NewSync(patterns ...*rtype.Pattern) *Entity {
 // record matching each unfilled pattern, pass everything else through, and
 // release the merged record once every pattern is filled.
 func (m *machine) syncStep(s *fuseStage, r *record.Record, dst []*record.Record) []*record.Record {
-	filled := &m.filled[s.idx]
+	filled := &m.ints[m.ib+s.idx]
 	if *filled == syncFired {
 		return append(dst, r)
 	}
-	stored := m.stored[s.slot : s.slot+len(s.patterns)]
+	stored := m.stored[m.sb+s.slot:][:len(s.patterns)]
 	idx := -1
 	for i, p := range s.patterns {
 		if stored[i] == nil && p.Matches(r) {
@@ -66,31 +66,32 @@ func (m *machine) syncStep(s *fuseStage, r *record.Record, dst []*record.Record)
 	if *filled++; *filled < len(stored) {
 		return dst
 	}
-	merged := stored[0].Copy()
-	for _, o := range stored[1:] {
+	// The cell is the stored records' only owner, so the join is stored[0]
+	// itself: merging in pattern order keeps the earlier patterns' labels on
+	// overlap, and being the same record it keeps its delivery lineage. The
+	// others died in the merge (field values flow on by reference); their
+	// deliveries complete here — their labels flowed into the join, replaying
+	// them would double the contribution.
+	merged := stored[0]
+	stored[0] = nil
+	for i, o := range stored[1:] {
 		merged.Merge(o)
+		m.env.trackDrop(o)
+		recycle(o)
+		stored[i+1] = nil
 	}
 	*filled = syncFired
-	// The stored records died in the merge; recycle them (field values flow
-	// on by reference). The merged record carries stored[0]'s delivery
-	// lineage (Copy); the others' deliveries complete here — their labels
-	// flowed into merged, replaying them would double the contribution.
-	for i, o := range stored {
-		if i > 0 {
-			m.env.trackDrop(o)
-		}
-		recycle(o)
-		stored[i] = nil
-	}
+	m.joined = true
 	return append(dst, merged)
 }
 
-// discardStored reclaims what the machine's synchrocells still hold when it
-// goes away. Storage discarded at close is dead — the cell is its only
-// owner — so it goes back to the pool instead of leaking. The termination
-// discard is sanctioned (the reference runtime's behaviour), so the
-// deliveries complete here — except under Stop, where discarded records stay
-// unacknowledged on purpose: a recovery replays them.
+// discardStored reclaims what the synchrocells of the machine's
+// instantiations still hold when it goes away, in instantiation order.
+// Storage discarded at close is dead — the cell is its only owner — so it
+// goes back to the pool instead of leaking. The termination discard is
+// sanctioned (the reference runtime's behaviour), so the deliveries complete
+// here — except under Stop, where discarded records stay unacknowledged on
+// purpose: a recovery replays them.
 func (m *machine) discardStored() {
 	stopped := m.env.stopped()
 	for i, o := range m.stored {

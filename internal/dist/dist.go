@@ -1,4 +1,3 @@
-//snet:hot
 // Package dist implements the Distributed S-Net platform: an abstract
 // cluster of compute nodes underneath the placement combinators "@" and
 // "!@". The paper maps one S-Net network onto a multi-node installation by
@@ -33,6 +32,8 @@
 // latency plus a bandwidth-proportional delay for every cross-node record,
 // letting benchmarks explore communication-bound regimes beyond the paper's
 // compute-bound figures.
+//
+//snet:hot
 package dist
 
 import (

@@ -172,3 +172,72 @@ func TestStopReleasesClusterMidSteal(t *testing.T) {
 		t.Fatalf("cluster unusable after mid-steal Stop: outs=%v err=%v", outs, err)
 	}
 }
+
+// TestStopStarChainBlockedOnClusterSlot stops a chained star — the Fig. 3
+// fold, a synchrocell gating a box — while its one driver goroutine sits
+// inside the box's wait for a node's only CPU slot, an accumulator parked in
+// the next unfolding's cell behind it. The wait must be abandoned, the driver
+// unwind, and the slot stay usable.
+func TestStopStarChainBlockedOnClusterSlot(t *testing.T) {
+	leakcheck.Check(t)
+	cluster := dist.NewCluster(1, 1)
+	fold := core.NewBox("fold",
+		core.MustSig([]rtype.Label{rtype.F("acc"), rtype.F("x")}, []rtype.Label{rtype.F("acc")}),
+		func(c *core.BoxCall) error {
+			c.Emit(record.New().SetField("acc", c.Field("acc").(int)+c.Field("x").(int)))
+			return nil
+		})
+	never := rtype.NewPattern(rtype.NewVariant(rtype.T("done")))
+	star := core.Star(core.Serial(
+		core.NewSync(
+			rtype.NewPattern(rtype.NewVariant(rtype.F("acc"))),
+			rtype.NewPattern(rtype.NewVariant(rtype.F("x")))),
+		core.Choice(fold, core.Identity())), never)
+	net := core.NewNetwork(star, core.Options{Platform: cluster})
+	if net.OptStats().StarOperandsInlined != 1 {
+		t.Fatalf("star not chained: %+v", net.OptStats())
+	}
+	inst := net.Start()
+	send := func(label string, v int) {
+		t.Helper()
+		if !inst.Send(record.New().SetField(label, v)) {
+			t.Fatal("Send refused")
+		}
+	}
+	// One fold with the slot free: the sum comes to rest in the second
+	// unfolding's cell.
+	send("acc", 0)
+	send("x", 1)
+	// Then the slot is taken from outside and the next join queues behind it.
+	occupied := make(chan struct{})
+	release := make(chan struct{})
+	go cluster.Exec(0, func() {
+		close(occupied)
+		<-release
+	})
+	<-occupied
+	send("x", 2)
+	for deadline := time.Now().Add(5 * time.Second); cluster.Loads(nil)[0] < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("fold never queued for the slot: loads = %v", cluster.Loads(nil))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stopRet := make(chan error, 1)
+	go func() { stopRet <- inst.Stop() }()
+	select {
+	case err := <-stopRet:
+		if !errors.Is(err, core.ErrStopped) {
+			t.Fatalf("Stop = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop hung on a chain driver queued for a busy slot")
+	}
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); cluster.Loads(nil)[0] != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("loads = %v after Stop, want [0]", cluster.Loads(nil))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -145,8 +145,12 @@ type SerialExpr struct {
 
 func (*SerialExpr) exprNode() {}
 
-// String renders A..B.
+// String renders A..B. The combinator groups to the left, so a serial
+// composition as right operand keeps its parentheses.
 func (e *SerialExpr) String() string {
+	if _, ok := e.R.(*SerialExpr); ok {
+		return fmt.Sprintf("%s .. (%s)", e.L, e.R)
+	}
 	return fmt.Sprintf("%s .. %s", e.L, e.R)
 }
 
@@ -336,7 +340,8 @@ func (o OutItemAST) String() string {
 		case MinusEq:
 			op = "-="
 		}
-		return "<" + o.Name + op + o.Expr.String() + ">"
+		// A comparison at the top would close the angle bracket.
+		return "<" + o.Name + op + operand(o.Expr, precCmp) + ">"
 	}
 	return "?"
 }
@@ -384,13 +389,45 @@ type BinExpr struct {
 
 func (*BinExpr) tagExprNode() {}
 
-// String renders the expression.
+// Binding strength of the binary operators, weakest first.
+const (
+	precCmp = iota + 1
+	precAdd
+	precMul
+)
+
+func (e *BinExpr) prec() int {
+	switch e.Op {
+	case Plus, Minus:
+		return precAdd
+	case Star, Slash, Percent:
+		return precMul
+	}
+	return precCmp
+}
+
+// operand renders e as the operand of an operator: in parentheses when e is
+// a binary expression that binds no tighter than atMost, which the parser
+// would otherwise group differently.
+func operand(e TagExprAST, atMost int) string {
+	if b, ok := e.(*BinExpr); ok && b.prec() <= atMost {
+		return "(" + b.String() + ")"
+	}
+	return e.String()
+}
+
+// String renders the expression so that it parses back to the same tree:
+// arithmetic groups to the left, comparisons do not chain.
 func (e *BinExpr) String() string {
 	op := map[TokKind]string{
 		Plus: "+", Minus: "-", Star: "*", Slash: "/", Percent: "%",
 		EqEq: "==", Neq: "!=", Lt: "<", Gt: ">", Le: "<=", Ge: ">=",
 	}[e.Op]
-	return fmt.Sprintf("%s %s %s", e.L, op, e.R)
+	left := e.prec() - 1
+	if left < precCmp {
+		left = precCmp
+	}
+	return fmt.Sprintf("%s %s %s", operand(e.L, left), op, operand(e.R, e.prec()))
 }
 
 // IsComparison reports whether the expression's toplevel operator yields a

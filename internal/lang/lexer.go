@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Lexer turns S-Net source text into tokens. It supports //-line and
 // /*block*/ comments and tracks line/column positions.
@@ -133,9 +136,9 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		text := l.src[start:l.pos]
-		val := 0
-		for _, d := range text {
-			val = val*10 + int(d-'0')
+		val, err := strconv.Atoi(text)
+		if err != nil {
+			return Token{}, fmt.Errorf("%s: integer literal %s out of range", pos, text)
 		}
 		return Token{Kind: INT, Text: text, Val: val, Pos: pos}, nil
 	}

@@ -2,11 +2,35 @@ package lang
 
 import "fmt"
 
+// maxNesting bounds how deep a compilation unit may nest: every level of
+// parentheses, every nested net body and every operator of a combinator or
+// arithmetic chain counts one. The parser recurses once per level of the
+// first two; a chain it parses in a loop, but an n-fold a..b..c is an AST n
+// deep, and everything that walks the AST it returns recurses n deep (the
+// printer, the compiler: compile.TestCompileDeepestChain walks a chain at the
+// limit). Without a bound a few megabytes of "(" — or of "..a" — from an
+// untrusted source overflow the goroutine stack, which no recover can catch.
+const maxNesting = 10_000
+
 // Parser is a recursive-descent parser over a token stream.
 type Parser struct {
 	toks []Token
 	pos  int
+	// depth is the nesting at the current token (see maxNesting). Functions
+	// that add to it put it back on return with defer p.leave(p.depth).
+	depth int
 }
+
+// deeper enters one more level of nesting, or reports where the source
+// nests too deep.
+func (p *Parser) deeper() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *Parser) leave(depth int) { p.depth = depth }
 
 // Parse parses an S-Net compilation unit.
 func Parse(src string) (*Program, error) {
@@ -181,6 +205,10 @@ func (p *Parser) parseLabelItem() (LabelItem, error) {
 //
 //	net name ( (in)->(out), (in)->(out) );
 func (p *Parser) parseNetDecl() (*NetDecl, error) {
+	defer p.leave(p.depth)
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
 	kw, _ := p.expect(KwNet)
 	name, err := p.expect(IDENT)
 	if err != nil {
@@ -235,36 +263,36 @@ func (p *Parser) parseNetDecl() (*NetDecl, error) {
 func (p *Parser) parseExpr() (Expr, error) { return p.parseChoice() }
 
 func (p *Parser) parseChoice() (Expr, error) {
+	defer p.leave(p.depth)
 	l, err := p.parseSerial()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.accept(Pipe):
-			r, err := p.parseSerial()
-			if err != nil {
-				return nil, err
-			}
-			l = &ChoiceExpr{L: l, R: r}
-		case p.accept(PipePipe):
-			r, err := p.parseSerial()
-			if err != nil {
-				return nil, err
-			}
-			l = &ChoiceExpr{L: l, R: r, Det: true}
-		default:
-			return l, nil
+	for p.at(Pipe) || p.at(PipePipe) {
+		if err := p.deeper(); err != nil {
+			return nil, err
 		}
+		det := p.next().Kind == PipePipe
+		r, err := p.parseSerial()
+		if err != nil {
+			return nil, err
+		}
+		l = &ChoiceExpr{L: l, R: r, Det: det}
 	}
+	return l, nil
 }
 
 func (p *Parser) parseSerial() (Expr, error) {
+	defer p.leave(p.depth)
 	l, err := p.parsePostfix()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(DotDot) {
+	for p.at(DotDot) {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
+		p.next()
 		r, err := p.parsePostfix()
 		if err != nil {
 			return nil, err
@@ -275,50 +303,39 @@ func (p *Parser) parseSerial() (Expr, error) {
 }
 
 func (p *Parser) parsePostfix() (Expr, error) {
+	defer p.leave(p.depth)
 	e, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.accept(Star):
+		switch p.cur().Kind {
+		case Star, StarStar, Bang, BangBang, BangAt, AtSign:
+		default:
+			return e, nil
+		}
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
+		switch op := p.next().Kind; op {
+		case Star, StarStar:
 			pat, err := p.parsePattern()
 			if err != nil {
 				return nil, err
 			}
-			e = &StarExpr{Operand: e, Exit: pat}
-		case p.accept(StarStar):
-			pat, err := p.parsePattern()
-			if err != nil {
-				return nil, err
-			}
-			e = &StarExpr{Operand: e, Exit: pat, Det: true}
-		case p.accept(Bang):
-			tag, err := p.parseAngledIdent()
-			if err != nil {
-				return nil, err
-			}
-			e = &SplitExpr{Operand: e, Tag: tag}
-		case p.accept(BangBang):
-			tag, err := p.parseAngledIdent()
-			if err != nil {
-				return nil, err
-			}
-			e = &SplitExpr{Operand: e, Tag: tag, Det: true}
-		case p.accept(BangAt):
-			tag, err := p.parseAngledIdent()
-			if err != nil {
-				return nil, err
-			}
-			e = &SplitExpr{Operand: e, Tag: tag, Placed: true}
-		case p.accept(AtSign):
+			e = &StarExpr{Operand: e, Exit: pat, Det: op == StarStar}
+		case AtSign:
 			num, err := p.expect(INT)
 			if err != nil {
 				return nil, err
 			}
 			e = &AtExpr{Operand: e, Node: num.Val}
 		default:
-			return e, nil
+			tag, err := p.parseAngledIdent()
+			if err != nil {
+				return nil, err
+			}
+			e = &SplitExpr{Operand: e, Tag: tag, Det: op == BangBang, Placed: op == BangAt}
 		}
 	}
 }
@@ -343,6 +360,10 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		t := p.next()
 		return &NameRef{Name: t.Text, Pos: t.Pos}, nil
 	case LParen:
+		defer p.leave(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		p.next()
 		e, err := p.parseExpr()
 		if err != nil {
@@ -613,11 +634,15 @@ func (p *Parser) parseAdd() (TagExprAST, error) {
 
 // parseAddFrom continues additive/multiplicative parsing with left parsed.
 func (p *Parser) parseAddFrom(left TagExprAST) (TagExprAST, error) {
+	defer p.leave(p.depth)
 	l, err := p.parseMulFrom(left)
 	if err != nil {
 		return nil, err
 	}
 	for p.at(Plus) || p.at(Minus) {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		op := p.next().Kind
 		r, err := p.parseMul()
 		if err != nil {
@@ -637,8 +662,12 @@ func (p *Parser) parseMul() (TagExprAST, error) {
 }
 
 func (p *Parser) parseMulFrom(left TagExprAST) (TagExprAST, error) {
+	defer p.leave(p.depth)
 	l := left
 	for p.at(Star) || p.at(Slash) || p.at(Percent) {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		op := p.next().Kind
 		r, err := p.parseUnary()
 		if err != nil {
@@ -651,6 +680,10 @@ func (p *Parser) parseMulFrom(left TagExprAST) (TagExprAST, error) {
 
 func (p *Parser) parseUnary() (TagExprAST, error) {
 	if p.at(Minus) {
+		defer p.leave(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		pos := p.next().Pos
 		e, err := p.parseUnary()
 		if err != nil {
@@ -680,6 +713,10 @@ func (p *Parser) parseAtom() (TagExprAST, error) {
 		}
 		return &TagRef{Name: name.Text, Angled: true}, nil
 	case LParen:
+		defer p.leave(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		p.next()
 		e, err := p.parseTagExpr()
 		if err != nil {

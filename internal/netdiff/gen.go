@@ -74,7 +74,10 @@ type gen struct {
 	r *rand.Rand
 	// det restricts the grammar to order-preserving constructs so the
 	// check can assert sequence equality.
-	det     bool
+	det bool
+	// inStar is set while a star's body is generated: stars nest only
+	// where the star case says so, or the passes multiply out of hand.
+	inStar  bool
 	nextTag int
 }
 
@@ -111,25 +114,37 @@ func (g *gen) node(depth int, ordered bool) (*core.Entity, bool) {
 		case 4: // det-choice
 			return g.choice(depth, ordered, true)
 		case 5: // star
-			if g.det {
+			if g.det || g.inStar {
 				continue
 			}
 			// The star body sees records from different unfolding rounds
 			// interleaved, so arrival order inside it is never
 			// deterministic regardless of the input order.
+			g.inStar = true
 			sub, _ := g.node(depth-1, false)
-			if g.r.Intn(2) == 0 {
+			g.inStar = false
+			rounds := 1 + g.r.Intn(2)
+			switch g.r.Intn(4) {
+			case 0, 1:
 				// The merger idiom's operand shape, sync..(… | []): what a
-				// star unfolding fuses into one goroutine. The cell never
-				// fires (arrival order is not deterministic here) and the
-				// guarded branch has a unique winner per record.
-				sub = core.Serial(
-					core.NewSync(
-						rtype.NewPattern(rtype.NewVariant(rtype.T("nv1"))),
-						rtype.NewPattern(rtype.NewVariant(rtype.T("nv2")))),
-					core.Choice(core.Serial(guardXA(), sub), core.Identity()))
+				// star runs as a chain, every unfolding in one goroutine. The
+				// cell never fires (arrival order is not deterministic here)
+				// and the guarded branch has a unique winner per record. Half
+				// the time the branch starts with a box that emits twice, so
+				// several records wait in front of the next tap (the chain
+				// driver must hand them on in link order).
+				br := core.Serial(guardXA(), sub)
+				if g.r.Intn(2) == 0 {
+					br = core.SerialAll(guardXA(), dupBox(1+g.r.Intn(5)), sub)
+				}
+				sub = gated(br)
+			case 2:
+				// Star in star, each counting on a tag of its own. The body's
+				// fan-outs compound per pass, so the outer star makes one.
+				sub = starWrap(g.tag(), sub, rounds)
+				rounds = 1
 			}
-			return starWrap(sub, 1+g.r.Intn(2)), false
+			return starWrap(g.tag(), sub, rounds), false
 		case 6: // split / det-split
 			// Each split instance receives its subsequence in arrival
 			// order; the det merger restores global order only when the
@@ -149,12 +164,7 @@ func (g *gen) node(depth int, ordered bool) (*core.Entity, bool) {
 					rtype.NewPattern(rtype.NewVariant(rtype.F("x"))),
 				), true
 			}
-			// Non-firing sync on labels the stream never carries: pure
-			// pass-through, but still a looseOut barrier for pruning.
-			return core.NewSync(
-				rtype.NewPattern(rtype.NewVariant(rtype.T("nv1"))),
-				rtype.NewPattern(rtype.NewVariant(rtype.T("nv2"))),
-			), ordered
+			return idleSync(), ordered
 		}
 	}
 }
@@ -209,24 +219,52 @@ func (g *gen) choice(depth int, ordered, det bool) (*core.Entity, bool) {
 	return core.Choice(b0, b1), false
 }
 
-// starWrap puts sub under a countdown star: a prefix filter arms tag <s>,
-// each pass decrements it, the star exits at zero.
-func starWrap(sub *core.Entity, rounds int) *core.Entity {
+// starWrap puts sub under a countdown star: a prefix filter arms tag <s>
+// (a name of the star's own, so stars nest), each pass decrements it, the
+// star exits at zero.
+func starWrap(s string, sub *core.Entity, rounds int) *core.Entity {
 	arm := core.NewFilter("", core.FilterRule{
 		Pattern: rtype.NewPattern(rtype.NewVariant()),
-		Outputs: []core.FilterOutput{{SetTags: []core.TagAssign{constTag("s", rounds)}}},
+		Outputs: []core.FilterOutput{{SetTags: []core.TagAssign{constTag(s, rounds)}}},
 	})
 	dec := core.NewFilter("", core.FilterRule{
-		Pattern: rtype.NewPattern(rtype.NewVariant(rtype.T("s"))),
+		Pattern: rtype.NewPattern(rtype.NewVariant(rtype.T(s))),
 		Outputs: []core.FilterOutput{{SetTags: []core.TagAssign{{
-			Name: "s",
-			Expr: func(r *record.Record) int { v, _ := r.Tag("s"); return v - 1 },
-			Src:  "s-=1",
+			Name: s,
+			Expr: func(r *record.Record) int { v, _ := r.Tag(s); return v - 1 },
+			Src:  s + "-=1",
 		}}}},
 	})
-	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("s"))).
-		WithGuard(func(r *record.Record) bool { v, _ := r.Tag("s"); return v <= 0 }, "s<=0")
+	exit := rtype.NewPattern(rtype.NewVariant(rtype.T(s))).
+		WithGuard(func(r *record.Record) bool { v, _ := r.Tag(s); return v <= 0 }, s+"<=0")
 	return core.Serial(arm, core.Star(core.Serial(sub, dec), exit))
+}
+
+// gated puts br behind a synchrocell that never fires, as the guarded branch
+// of the merger idiom's operand shape: sync..(br | []). A star over it runs
+// as a chain whatever br holds.
+func gated(br *core.Entity) *core.Entity {
+	return core.Serial(idleSync(), core.Choice(br, core.Identity()))
+}
+
+// idleSync is a synchrocell on labels the stream never carries: pure
+// pass-through that never fires, but still a looseOut barrier for pruning.
+func idleSync() *core.Entity {
+	return core.NewSync(
+		rtype.NewPattern(rtype.NewVariant(rtype.T("nv1"))),
+		rtype.NewPattern(rtype.NewVariant(rtype.T("nv2"))))
+}
+
+// dupBox emits its record twice, x += delta and x += delta+100, in that
+// order.
+func dupBox(delta int) *core.Entity {
+	sig := core.MustSig([]rtype.Label{rtype.F("x")}, []rtype.Label{rtype.F("x")})
+	return core.NewBox(fmt.Sprintf("dup%d", delta), sig, func(c *core.BoxCall) error {
+		x := c.Field("x").(int)
+		c.Emit(record.New().SetField("x", x+delta))
+		c.Emit(record.New().SetField("x", x+delta+100))
+		return nil
+	})
 }
 
 // setTag builds [ {} -> {<name=v>} ].

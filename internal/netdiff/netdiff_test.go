@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"snet/internal/core"
+	"snet/internal/dist"
+	"snet/internal/leakcheck"
 	"snet/internal/record"
 	"snet/internal/rtype"
 )
@@ -112,15 +114,50 @@ func TestFixedTopologies(t *testing.T) {
 		{"sync-then-choice-no-pruning", false, func() *core.Entity {
 			// The sync's loose output type must block pruning; dispatch
 			// still has unique winners, so results stay equal.
-			return core.Serial(
-				core.NewSync(
-					rtype.NewPattern(rtype.NewVariant(rtype.T("nv1"))),
-					rtype.NewPattern(rtype.NewVariant(rtype.T("nv2"))),
-				),
+			return core.Serial(idleSync(),
 				core.Choice(core.Serial(guardXA(), setTag("ba", 1)), core.Serial(guardX(), setTag("bx", 1))))
 		}},
 		{"star-countdown", false, func() *core.Entity {
-			return starWrap(core.Serial(setTag("p", 1), inc(1)), 2)
+			return starWrap("s", core.Serial(setTag("p", 1), inc(1)), 2)
+		}},
+		{"star-chain-fanout", false, func() *core.Entity {
+			// A filter-only operand runs as a chain; with a fan-out of two at
+			// every tap the driver's stack holds records of several depths.
+			fan := core.NewFilter("", core.FilterRule{
+				Pattern: rtype.NewPattern(rtype.NewVariant()),
+				Outputs: []core.FilterOutput{
+					{SetTags: []core.TagAssign{constTag("h", 0)}},
+					{SetTags: []core.TagAssign{constTag("h", 1)}},
+				},
+			})
+			return starWrap("s", fan, 3)
+		}},
+		{"star-chain-gated-dup-box", false, func() *core.Entity {
+			// Behind a synchrocell the box does not keep a goroutine per
+			// unfolding: its two emissions cross the chain's worklist, not a
+			// link, and must reach the next tap in emission order.
+			return starWrap("s", gated(core.Serial(guardXA(), dupBox(1))), 3)
+		}},
+		{"star-chain-fired-cell-box", false, func() *core.Entity {
+			// The cell of every unfolding fires on its first two records and
+			// is the identity from then on, so the box runs ungated and the
+			// driver hands off behind that unfolding — while deeper cells
+			// hold records, which move to the new driver.
+			cell := core.NewSync(
+				rtype.NewPattern(rtype.NewVariant(rtype.T("k"))),
+				rtype.NewPattern(rtype.NewVariant(rtype.F("x"))))
+			return starWrap("s", core.Serial(cell, inc(1)), 3)
+		}},
+		{"star-in-star", false, func() *core.Entity {
+			return starWrap("s", starWrap("t", gated(core.Serial(guardXA(), inc(1))), 2), 2)
+		}},
+		{"detchoice-over-star-chain", false, func() *core.Entity {
+			// Records carry the det-choice's hidden sequence tag through a
+			// chained star (flow inheritance in its box, the in-place join
+			// otherwise); the merger needs it on every output.
+			return core.DetChoice(
+				core.Serial(guardXA(), starWrap("s", gated(core.Serial(guardXA(), inc(1))), 2)),
+				core.Serial(guardX(), setTag("dx", 1)))
 		}},
 		{"split", false, func() *core.Entity {
 			return core.Split(core.Serial(setTag("p", 1), inc(1)), "k")
@@ -156,7 +193,7 @@ func TestFixedTopologies(t *testing.T) {
 				setTag("p", 1),
 				core.DetChoice(
 					core.Serial(guardXA(), core.SerialAll(inc(1), setTag("da", 1))),
-					core.Serial(guardX(), starWrap(inc(2), 1))),
+					core.Serial(guardX(), starWrap("s", inc(2), 1))),
 				core.Identity(),
 				setTag("q", 2))
 		}},
@@ -256,6 +293,47 @@ func TestMergerIdiom(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestMergerIdiomPlacedTransfers runs one window of the idiom on a four-node
+// dist.Cluster under RoundRobin: one star, so unfolding k is placed on node
+// k mod 4 on either side. Exactly one reading comes to rest in each
+// unfolding, so how many records cross how many taps — and with it the
+// number of charged transfers — does not depend on arrival order. The chain
+// hands off where an unfolding leaves the star's node and must charge what a
+// tap per unfolding charged there: the constant was read off the commit
+// before star chains (one goroutine per unfolding), on both sides.
+func TestMergerIdiomPlacedTransfers(t *testing.T) {
+	const unfold, wantTransfers = 16, 204
+	inputs := func() []*record.Record {
+		var ins []*record.Record
+		for i := 0; i <= unfold; i++ {
+			b := record.Build().F("x", i).T("k", 0).T("win", unfold+1)
+			if i == 0 {
+				b = b.T("fst", 1)
+			}
+			ins = append(ins, b.Rec())
+		}
+		return ins
+	}
+	for _, lvl := range []core.OptimizeLevel{core.OptimizeOff, core.OptimizeFull} {
+		t.Run(fmt.Sprintf("optimize=%d", lvl), func(t *testing.T) {
+			leakcheck.Check(t)
+			cluster := dist.NewCluster(4, 2)
+			outs, err := core.NewNetwork(merger(), core.Options{
+				Optimize: lvl, Platform: cluster, Placer: &core.RoundRobin{},
+			}).Run(inputs()...)
+			if err != nil || len(outs) != 1 {
+				t.Fatalf("outs=%v err=%v", outs, err)
+			}
+			if acc, _ := outs[0].Field("acc"); acc != unfold*(unfold+1)/2 {
+				t.Fatalf("acc = %v, want %d", acc, unfold*(unfold+1)/2)
+			}
+			if got := cluster.Stats().Transfers; got != wantTransfers {
+				t.Fatalf("Stats.Transfers = %d, want %d", got, wantTransfers)
+			}
+		})
 	}
 }
 

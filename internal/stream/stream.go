@@ -1,4 +1,3 @@
-//snet:hot
 // Package stream implements the batched record transport that connects
 // S-Net entities. A Link replaces the raw one-record-per-channel-op handoff
 // (two scheduler wakeups per hop) with reusable batches of records: senders
@@ -36,6 +35,8 @@
 // unwinds a network mid-batch. Batch slices are pooled and recycled by the
 // receiver; records themselves are owned by whoever holds them, exactly as
 // on a raw channel.
+//
+//snet:hot
 package stream
 
 import (
