@@ -103,22 +103,16 @@ func choiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *Ent
 		// elided branch. The per-branch input links and the dispatch
 		// score cache share one scratch slice (one allocation per
 		// instantiation, and star-unrolled choices instantiate a lot).
+		// Every spawned branch writes straight into out, a sender of its
+		// own next to the dispatcher.
 		st := make([]branchState, len(branches))
-		spawned := 0
-		for _, b := range branches {
-			if !(elide && b.kind == kindIdentity) {
-				spawned++
-			}
-		}
-		coll := newCollector(env, out, spawned+1) // +1: the dispatcher
 		for i, b := range branches {
 			if elide && b.kind == kindIdentity {
 				continue
 			}
 			st[i].in = env.newLink()
-			bo := env.newLink()
-			b.spawn(env, st[i].in, bo)
-			env.start(func() { coll.drainInto(bo) })
+			out.AddSender(1)
+			b.spawn(env, st[i].in, out)
 		}
 		// Control records traverse the first non-elided branch so they
 		// keep FIFO order with the data records routed there; they bypass
@@ -132,7 +126,7 @@ func choiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *Ent
 			}
 		}
 		env.start(func() {
-			defer coll.done()
+			defer env.closeLink(out)
 			defer func() {
 				for i := range st {
 					if st[i].in != nil {
@@ -148,7 +142,7 @@ func choiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *Ent
 				}
 				if !r.IsData() {
 					if ctrlIn == nil {
-						if !coll.send(r) {
+						if !env.send(out, r) {
 							return
 						}
 					} else if !env.send(ctrlIn, r) {
@@ -161,7 +155,7 @@ func choiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *Ent
 					continue
 				}
 				if st[best].in == nil {
-					if !coll.send(r) {
+					if !env.send(out, r) {
 						return
 					}
 				} else if !env.send(st[best].in, r) {
@@ -332,7 +326,8 @@ func starEnt(a *Entity, exit *rtype.Pattern, chained bool) *Entity {
 			return starEnt(kids[0], exit, kids[0].stages != nil)
 		},
 		spawn: func(env *Env, in, out *stream.Link) {
-			s := &star{env: env, a: a, exit: exit, coll: newCollector(env, out, 1)}
+			// The first tap or driver is the sender out came with.
+			s := &star{env: env, a: a, exit: exit, out: out}
 			if chained {
 				c := s.newChain(0)
 				env.start(func() { s.drive(in, env.node, c) })
@@ -351,7 +346,19 @@ type star struct {
 	env  *Env // the star's own placement: every tap runs here
 	a    *Entity
 	exit *rtype.Pattern
-	coll *collector // where records leave the star
+	// out is where records leave the star. Every tap and every chain driver
+	// is one of its senders: each registers before it starts and closes it
+	// once when it is done, and the last close ends the star's output.
+	out *stream.Link
+}
+
+// send puts r out of the star; false means the instance was stopped.
+func (s *star) send(r *record.Record) bool { return s.env.send(s.out, r) }
+
+// start runs fn as a new sender on the star's output.
+func (s *star) start(fn func()) {
+	s.out.AddSender(1)
+	s.env.start(fn)
 }
 
 // recv takes a tap's next input record. inNode is the node the tap's input is
@@ -387,12 +394,12 @@ func (s *star) dispatch(at *Env, r *record.Record) {
 }
 
 // stage is one unfolding of a star whose operand is spawned: the tap in
-// front of replica depth. It emits exit-matching records to the shared
-// collector and lazily creates the replica plus the next stage when the
-// first non-exit record arrives.
+// front of replica depth. It emits exit-matching records to the star's
+// output and lazily creates the replica plus the next stage when the first
+// non-exit record arrives.
 func (s *star) stage(in *stream.Link, depth, inNode int) {
 	env := s.env
-	defer s.coll.done()
+	defer env.closeLink(s.out)
 	var instIn *stream.Link // the replica's input, once it exists
 	inst := env
 	defer func() {
@@ -406,7 +413,7 @@ func (s *star) stage(in *stream.Link, depth, inNode int) {
 			return
 		}
 		if s.leaves(r) {
-			if !s.coll.send(r) {
+			if !s.send(r) {
 				return
 			}
 			continue
@@ -417,9 +424,8 @@ func (s *star) stage(in *stream.Link, depth, inNode int) {
 			instIn = env.newLink()
 			instOut := env.newLink()
 			s.a.spawn(inst, instIn, instOut)
-			s.coll.add(1)
 			node := inst.node
-			env.start(func() { s.stage(instOut, depth+1, node) })
+			s.start(func() { s.stage(instOut, depth+1, node) })
 		}
 		s.dispatch(inst, r)
 		if !env.send(instIn, r) {
@@ -487,10 +493,10 @@ func (s *star) newChain(depth int) chain {
 //     per join, and the unfoldings are serial by data dependence.
 //
 // Close discards what the synchrocells still hold, in depth order, then
-// closes the hand-off link and signs off from the collector.
+// closes the hand-off link and signs off from the star's output.
 func (s *star) drive(in *stream.Link, inNode int, c chain) {
 	env, m := s.env, c.m
-	defer s.coll.done()
+	defer env.closeLink(s.out)
 	defer func() {
 		m.discardStored()
 		if c.next != nil {
@@ -508,7 +514,7 @@ func (s *star) drive(in *stream.Link, inNode int, c chain) {
 		}
 		work = append(work, chainItem{r, 0})
 		for steps := 1; len(work) > 0; steps++ {
-			// Nothing below blocks unless a box or a full collector does, so
+			// Nothing below blocks unless a box or a full output does, so
 			// a long way through the unfoldings has to look for Stop itself.
 			if steps%stopCheckEvery == 0 && env.stopped() {
 				return
@@ -518,7 +524,7 @@ func (s *star) drive(in *stream.Link, inNode int, c chain) {
 			work[top].r = nil
 			work = work[:top]
 			if s.leaves(r) {
-				if !s.coll.send(r) {
+				if !s.send(r) {
 					return
 				}
 				continue
@@ -579,214 +585,7 @@ func (s *star) handOff(c *chain, i int, at *Env) {
 	c.m.moveState(rest.m, k)
 	in := s.env.newLink()
 	c.n, c.next, c.lastEnv = k, in, at
-	s.coll.add(1)
-	s.env.start(func() { s.drive(in, at.node, rest) })
-}
-
-// Split builds the indexed parallel replication A!<tag>: one replica of A
-// per distinct value of the tag, instantiated on demand; every incoming
-// record must carry the tag and is routed to the replica selected by its
-// value. Outputs merge nondeterministically.
-func Split(a *Entity, tag string) *Entity {
-	return splitImpl(a, tag,
-		func() string { return fmt.Sprintf("(%s!<%s>)", a.Name(), tag) }, false)
-}
-
-// SplitAt builds the indexed dynamic placement A!@<tag> from Distributed
-// S-Net: like Split, but each replica is instantiated on a compute node,
-// and records are accounted as transferred to that node on entry and back
-// on exit.
-//
-// Which node a replica lands on is resolved at dispatch time by the
-// placement policy (Options.Placer, overridable per subtree with
-// Env.AtPolicy). The default Static policy keeps the pre-stamped-tag
-// convention — the tag value is the node, modulo the platform's node
-// count. RoundRobin and LeastLoaded make the node a runtime decision; the
-// tag then only identifies the replica. Under a dynamic policy the index
-// tag itself becomes optional: a record arriving without it is dispatched
-// through a fresh single-shot replica on the policy-chosen node — the
-// splitter emits untagged work and the scheduler places it. (With the
-// Static policy an untagged record remains a runtime type error.)
-func SplitAt(a *Entity, tag string) *Entity {
-	return splitImpl(a, tag,
-		func() string { return fmt.Sprintf("(%s!@<%s>)", a.Name(), tag) }, true)
-}
-
-// splitImpl implements both Split and SplitAt; placed is false for the
-// non-placing variant.
-func splitImpl(a *Entity, tag string, nameFn func() string, placed bool) *Entity {
-	// The input type is A's input type with the index tag added to every
-	// variant (every incoming record must carry the tag).
-	inT := rtype.NewType()
-	for _, v := range a.sig.In.Variants() {
-		inT.AddVariant(v.Copy().Add(rtype.T(tag)))
-	}
-	if inT.NumVariants() == 0 {
-		inT.AddVariant(rtype.NewVariant(rtype.T(tag)))
-	}
-	tagSym := record.Intern(tag)
-	e := &Entity{
-		nameFn:   nameFn,
-		sig:      rtype.NewSignature(inT, a.sig.Out),
-		kids:     []*Entity{a},
-		detDepth: a.detDepth,
-		looseOut: a.looseOut,
-	}
-	e.rebuild = func(kids []*Entity) *Entity {
-		if placed {
-			return SplitAt(kids[0], tag)
-		}
-		return Split(kids[0], tag)
-	}
-	e.spawn = func(env *Env, in, out *stream.Link) {
-		coll := newCollector(env, out, 1)
-		env.start(func() {
-			defer coll.done()
-			type replica struct {
-				in   *stream.Link
-				node int
-			}
-			instances := make(map[int]replica)
-			defer func() {
-				for _, inst := range instances {
-					env.closeLink(inst.in)
-				}
-			}()
-			var loadScratch []int // reusable placement load snapshot
-			untagged := 0         // dispatch sequence for untagged records
-			dynPlacer := env.dynamicPlacer() != nil
-			// startReturn accounts a replica's return path: records
-			// leaving the replica travel back to the split's node, a
-			// whole batch per hop so the platform amortizes per-message
-			// framing and per-hop latency.
-			startReturn := func(node int, instOut *stream.Link) {
-				coll.add(1)
-				if node == env.node {
-					env.start(func() { coll.drainInto(instOut) })
-					return
-				}
-				env.start(func() {
-					defer coll.done()
-					for {
-						b, ok := instOut.RecvBatch(env.done)
-						if !ok {
-							return
-						}
-						env.transferBatch(node, env.node, b.Recs)
-						if !coll.out.SendBatch(b, env.done) {
-							return
-						}
-					}
-				})
-			}
-			// ensure lazily instantiates the pinned replica for tag value
-			// v, resolving its node through the placement policy the
-			// moment the first record for it is dispatched.
-			ensure := func(v int) replica {
-				inst, ok := instances[v]
-				if ok {
-					return inst
-				}
-				inst = replica{in: env.newLink(), node: env.node}
-				instEnv := env
-				if placed {
-					inst.node = env.place(v, &loadScratch)
-					instEnv = env.At(inst.node)
-				}
-				instances[v] = inst
-				instOut := env.newLink()
-				a.spawn(instEnv, inst.in, instOut)
-				startReturn(inst.node, instOut)
-				return inst
-			}
-			// dispatchUntagged routes one record the splitter left
-			// unplaced: a fresh single-shot replica on the node the
-			// policy picks now, fed exactly this record and closed, so
-			// every untagged unit of work is independently schedulable
-			// (and, with work stealing, independently migratable). The
-			// per-unit replica is the cost of that freedom — untagged
-			// dispatch is built for coarse-grained units like the
-			// raytracer's sections, not for fine-grained record streams.
-			dispatchUntagged := func(r *record.Record) bool {
-				node := env.place(untagged, &loadScratch)
-				untagged++
-				instIn := env.newLink()
-				instOut := env.newLink()
-				a.spawn(env.At(node), instIn, instOut)
-				startReturn(node, instOut)
-				// One record, one hop — accounted like a star tap's and
-				// the steal scheduler's single-record moves.
-				env.transfer(env.node, node, r)
-				if !env.send(instIn, r) {
-					return false
-				}
-				env.closeLink(instIn)
-				return true
-			}
-			// The dispatcher routes whole input batches, forwarding each
-			// run of consecutive same-destination records as one unit:
-			// one platform transfer and one link operation per run,
-			// stream order fully preserved, no per-batch allocation. A
-			// workload whose index tags arrive value-interleaved still
-			// pays one message per record; one that blocks them (or whose
-			// replicas see bursts) amortizes automatically.
-			for {
-				b, ok := in.RecvBatch(env.done)
-				if !ok {
-					return
-				}
-				recs := b.Recs
-				i := 0
-				for i < len(recs) {
-					r := recs[i]
-					if !r.IsData() {
-						if !coll.send(r) {
-							return
-						}
-						i++
-						continue
-					}
-					v, ok := r.TagSym(tagSym)
-					if !ok {
-						if placed && dynPlacer {
-							if !dispatchUntagged(r) {
-								return
-							}
-							i++
-							continue
-						}
-						env.reportRT(e.Name(), ErrCatNoMatch, r.String(), fmt.Errorf(
-							"record %s lacks index tag <%s>", r, tag))
-						// The dropped record is dead; its delivery
-						// completes here. Reclaim it.
-						env.trackDrop(r)
-						recycle(r)
-						i++
-						continue
-					}
-					j := i + 1
-					for j < len(recs) && recs[j].IsData() {
-						v2, ok2 := recs[j].TagSym(tagSym)
-						if !ok2 || v2 != v {
-							break
-						}
-						j++
-					}
-					run := recs[i:j]
-					inst := ensure(v)
-					if placed {
-						env.transferBatch(env.node, inst.node, run)
-					}
-					if !inst.in.SendMany(run, env.done) {
-						return
-					}
-					i = j
-				}
-				stream.FreeBatch(b)
-			}
-		})
-	}
-	return e
+	s.start(func() { s.drive(in, at.node, rest) })
 }
 
 // At builds the static placement A@node from Distributed S-Net: the operand

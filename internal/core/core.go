@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"snet/internal/journal"
@@ -564,14 +563,16 @@ func (s *errSink) report() ErrorReport {
 // entity needs, consume `in` until it is closed, and close `out` once all
 // output has been produced. Entities exchange records over batched stream
 // links (stream.Link); an entity is its input link's single receiver and
-// may share its output link with sibling producers under a collector.
+// may share its output link with sibling producers: a combinator that hands
+// its output to several producers registers them (stream.Link.AddSender),
+// each closes it once, and the last close ends the stream.
 type SpawnFunc func(env *Env, in, out *stream.Link)
 
 // entityKind discriminates what an Entity is, so the network optimizer can
 // rewrite trees structurally (flatten serial/choice nests, fuse stage runs,
 // elide identities) without per-combinator knowledge leaking out of the
 // constructors. kindOpaque covers everything the optimizer treats as a
-// black box (splits, placement, observers); such nodes still
+// black box (deterministic splits, placement, observers); such nodes still
 // participate in optimization through their rebuild hook.
 type entityKind uint8
 
@@ -586,6 +587,7 @@ const (
 	kindDetChoice // n-ary deterministic choice; kids are the leaves
 	kindFused     // optimizer-built single-goroutine stage tree
 	kindStar      // serial replication; rebuild chains a stage-tree operand
+	kindSplit     // indexed replication; rebuild puts a stage-tree operand on executors
 )
 
 // Entity is a SISO network component: a box, filter, synchrocell, or a
@@ -623,6 +625,11 @@ type Entity struct {
 	// tree and tap — in a driver goroutine instead of spawning the operand
 	// per unfolding (see star.drive). Only the optimizer sets it.
 	chain bool
+	// executors (kindSplit) makes the split keep one state block per tag
+	// value and run the operand's stage tree on reusable executor goroutines
+	// instead of spawning the operand per tag value (see execPool). Only the
+	// optimizer sets it.
+	executors bool
 	// selTree/selCursors drive choice dispatch (kindChoice/kindDetChoice):
 	// the selector tree reproduces nested round-robin tie-breaking over
 	// the flattened leaf list; selCursors is the number of cursor slots a
@@ -695,8 +702,9 @@ func (e *Entity) Spawn(env *Env, in, out *stream.Link) {
 // its kind, a choice stage's branches marked "|" with their stages below. A
 // star that runs its unfoldings as a chain says so, and why it hands off to a
 // new driver at every unfolding when it does (its depth no longer shows in
-// LinkStats: a chain has no link per unfolding). It is used by the snetc
-// command.
+// LinkStats: a chain has no link per unfolding); a split that runs its
+// replicas on executors is marked likewise (no link per replica either). It
+// is used by the snetc command.
 func (e *Entity) Describe() string {
 	var b []byte
 	line := func(depth int, prefix string, ent *Entity) {
@@ -712,6 +720,9 @@ func (e *Entity) Describe() string {
 			if ent.kids[0].layout.ungated {
 				b = append(b, ", hand-off at every unfolding: ungated box"...)
 			}
+		}
+		if ent.executors {
+			b = append(b, "  -- executors"...)
 		}
 		b = append(b, '\n')
 	}
@@ -739,58 +750,6 @@ func (e *Entity) Describe() string {
 	}
 	walk(e, 0)
 	return string(b)
-}
-
-// collector lets a dynamic set of producers (star unfoldings, split
-// instances, parallel branches) share one output link. The link is closed
-// once every registered producer has finished — producers only send while
-// registered, so the close can never race a send even during an abort. The
-// last producer to sign off closes the link from its own goroutine (no
-// dedicated closer goroutine): star-heavy networks create a collector per
-// unfolding, so the closer's goroutine and closure were a per-stage cost.
-type collector struct {
-	env *Env
-	out *stream.Link
-	n   atomic.Int32
-}
-
-// newCollector registers `initial` producers.
-func newCollector(env *Env, out *stream.Link, initial int) *collector {
-	c := &collector{env: env, out: out}
-	c.n.Store(int32(initial))
-	return c
-}
-
-// add registers additional producers. It must be called from a goroutine
-// that is itself a registered producer (so the count cannot reach zero
-// concurrently).
-func (c *collector) add(n int) { c.n.Add(int32(n)) }
-
-// done signs off one producer; the last one out closes the shared link.
-func (c *collector) done() {
-	if c.n.Add(-1) == 0 {
-		c.env.closeLink(c.out)
-	}
-}
-
-// send forwards a record to the shared output; false means the instance
-// was stopped and the producer must unwind.
-func (c *collector) send(r *record.Record) bool { return c.env.send(c.out, r) }
-
-// drainInto forwards everything from src to the collector in whole
-// batches (a batch formed upstream crosses the merge as one operation),
-// then signs off.
-func (c *collector) drainInto(src *stream.Link) {
-	defer c.done()
-	for {
-		b, ok := src.RecvBatch(c.env.done)
-		if !ok {
-			return
-		}
-		if !c.out.SendBatch(b, c.env.done) {
-			return
-		}
-	}
 }
 
 // pump copies src to dst in whole batches and closes dst when src is

@@ -10,7 +10,8 @@ const (
 	// OptimizeFull — the zero value, on by default — enables the whole
 	// rewrite catalogue: serial/choice flattening, identity elision, stage
 	// fusion (filters, a box, synchrocells, choices; star operands run in
-	// the star's chain driver), and signature-driven branch pruning.
+	// the star's chain driver, split operands on the split's executors), and
+	// signature-driven branch pruning.
 	OptimizeFull OptimizeLevel = iota
 	// OptimizeOff disables the optimizer: the tree spawns exactly as
 	// constructed. It is the escape hatch (and the reference side of the
@@ -49,9 +50,14 @@ type OptStats struct {
 	// StarOperandsInlined counts stars whose operand — a stage tree — is not
 	// spawned per unfolding but run by the star's own chain driver (see
 	// star.drive): no goroutine and no link per unfolding on the star's node.
+	// SplitsOnExecutors counts indexed splits (A!<t>) whose operand — a
+	// stage tree — is not spawned per tag value but kept as a state block
+	// per tag value and run on the split's reusable executors (see
+	// execPool): no goroutine and no link per replica.
 	SyncsFused          int
 	ChoicesFused        int
 	StarOperandsInlined int
+	SplitsOnExecutors   int
 	// BranchesPruned counts choice branches removed because no upstream
 	// record can ever win dispatch for them (rtype.Dominated);
 	// ChoicesShortCircuited counts choices replaced outright by their sole
@@ -89,6 +95,12 @@ type OptStats struct {
 //     instead of spawning the operand per unfolding; it hands off to a new
 //     driver only at an unfolding placed on another node and behind one
 //     whose box ran on a record no synchrocell released in the same pass.
+//   - Split executors: a plain split (A!<t>) whose operand is a stage tree
+//     keeps one state block per tag value and runs the tree on executors —
+//     goroutines spawned only when a replica has records and no executor is
+//     idle — so the goroutine count is the peak number of busy replicas, not
+//     the number of tag values. Placed splits (A!@<t>) keep a replica each:
+//     their hops are the platform's to charge.
 //   - Branch pruning: a choice branch no upstream record can ever win
 //     dispatch for (rtype.Dominated over the declared signatures, sound
 //     under flow inheritance) is removed; a choice left with one branch is
@@ -97,7 +109,7 @@ type OptStats struct {
 //     them).
 //
 // Deterministic choices, splits, placement and observation taps are never
-// merged into fused trees (their merge, replica, transfer and callback
+// merged into fused trees (their merge, dispatch, transfer and callback
 // points are the entity boundaries); their operands are still rewritten
 // through their rebuild hooks.
 func Optimize(e *Entity) (*Entity, OptStats) {
@@ -154,6 +166,13 @@ func (o *optimizer) rewrite(e *Entity) *Entity {
 		r = e.rebuild([]*Entity{o.operand(e.kids[0])})
 		if r.chain {
 			o.stats.StarOperandsInlined++
+		}
+	case kindSplit:
+		// Likewise: the hook builds the split that runs a stage-tree operand
+		// on executors.
+		r = e.rebuild([]*Entity{o.operand(e.kids[0])})
+		if r.executors {
+			o.stats.SplitsOnExecutors++
 		}
 	default:
 		r = o.rewriteGeneric(e)

@@ -87,20 +87,23 @@ func (m *machine) syncStep(s *fuseStage, r *record.Record, dst []*record.Record)
 
 // discardStored reclaims what the synchrocells of the machine's
 // instantiations still hold when it goes away, in instantiation order.
-// Storage discarded at close is dead — the cell is its only owner — so it
-// goes back to the pool instead of leaking. The termination discard is
-// sanctioned (the reference runtime's behaviour), so the deliveries complete
-// here — except under Stop, where discarded records stay unacknowledged on
-// purpose: a recovery replays them.
-func (m *machine) discardStored() {
-	stopped := m.env.stopped()
-	for i, o := range m.stored {
+func (m *machine) discardStored() { discardStored(m.env, m.stored) }
+
+// discardStored reclaims synchrocell storage at close. Storage discarded at
+// close is dead — the cell is its only owner — so it goes back to the pool
+// instead of leaking. The termination discard is sanctioned (the reference
+// runtime's behaviour), so the deliveries complete here — except under Stop,
+// where discarded records stay unacknowledged on purpose: a recovery replays
+// them.
+func discardStored(env *Env, stored []*record.Record) {
+	stopped := env.stopped()
+	for i, o := range stored {
 		if o != nil {
 			if !stopped {
-				m.env.trackDrop(o)
+				env.trackDrop(o)
 			}
 			recycle(o)
-			m.stored[i] = nil
+			stored[i] = nil
 		}
 	}
 }

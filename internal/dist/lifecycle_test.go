@@ -241,3 +241,79 @@ func TestStopStarChainBlockedOnClusterSlot(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestStopSplitExecutorsLeakFree stops a split whose replicas run on
+// executors (a synchrocell pairing readings in front of a box) while one
+// executor sits in the box, one is queued for a node slot held from outside,
+// and one is parked idle after storing a reading: every executor must leave,
+// the queued wait be abandoned, and no slot stay taken.
+func TestStopSplitExecutorsLeakFree(t *testing.T) {
+	leakcheck.Check(t)
+	cluster := dist.NewCluster(1, 2)
+	started := make(chan struct{}, 4)
+	release := make(chan struct{})
+	hold := core.NewBox("hold",
+		core.MustSig([]rtype.Label{rtype.F("a"), rtype.F("b")}, []rtype.Label{rtype.F("sum")}),
+		func(c *core.BoxCall) error {
+			started <- struct{}{}
+			<-release
+			return nil
+		})
+	split := core.Split(core.Serial(core.NewSync(
+		rtype.NewPattern(rtype.NewVariant(rtype.F("a"))),
+		rtype.NewPattern(rtype.NewVariant(rtype.F("b")))), hold), "k")
+	net := core.NewNetwork(split, core.Options{Platform: cluster})
+	if net.OptStats().SplitsOnExecutors != 1 {
+		t.Fatalf("split not on executors: %+v", net.OptStats())
+	}
+	inst := net.Start()
+	send := func(label string, k int) {
+		t.Helper()
+		if !inst.Send(record.New().SetField(label, k).SetTag("k", k)) {
+			t.Fatal("Send refused")
+		}
+	}
+	// Key 0's pair joins and its box takes one of the two slots.
+	send("a", 0)
+	send("b", 0)
+	<-started
+	// The other slot is taken from outside; key 1's box queues behind it.
+	occupied := make(chan struct{})
+	outside := make(chan struct{})
+	go cluster.Exec(0, func() {
+		close(occupied)
+		<-outside
+	})
+	<-occupied
+	send("a", 1)
+	send("b", 1)
+	for deadline := time.Now().Add(5 * time.Second); cluster.Loads(nil)[0] < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("key 1's box never queued for the slot: loads = %v", cluster.Loads(nil))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Key 2's reading comes to rest in its cell; its executor parks.
+	send("a", 2)
+	time.Sleep(20 * time.Millisecond)
+	stopRet := make(chan error, 1)
+	go func() { stopRet <- inst.Stop() }()
+	// Let Stop cancel the queued wait, then release the box that runs.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	select {
+	case err := <-stopRet:
+		if !errors.Is(err, core.ErrStopped) {
+			t.Fatalf("Stop = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop hung on a split's executors")
+	}
+	close(outside)
+	for deadline := time.Now().Add(5 * time.Second); cluster.Loads(nil)[0] != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("loads = %v after Stop, want [0]", cluster.Loads(nil))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -162,6 +162,27 @@ func TestFixedTopologies(t *testing.T) {
 		{"split", false, func() *core.Entity {
 			return core.Split(core.Serial(setTag("p", 1), inc(1)), "k")
 		}},
+		{"split-executor-sync-box", false, func() *core.Entity {
+			// A stage-tree operand: one state block per key on executors.
+			// Every key's cell joins its first <a>-record with the next
+			// plain one and is the identity from then on.
+			cell := core.NewSync(
+				rtype.NewPattern(rtype.NewVariant(rtype.T("a"))),
+				rtype.NewPattern(rtype.NewVariant(rtype.F("x"))))
+			return core.Split(core.Serial(cell, inc(1)), "k")
+		}},
+		{"split-executor-fanout-box", false, func() *core.Entity {
+			// Two emissions per record from an executor, straight into the
+			// split's output.
+			return core.Split(core.Serial(setTag("p", 1), dupBox(1)), "k")
+		}},
+		{"split-in-star-chain", false, func() *core.Entity {
+			// Splits on executors are what each unfolding of the star
+			// instantiates (a split is no stage tree, so this star spawns
+			// its operand per unfolding); the cells behind the box never
+			// fire, so every key's state block holds nothing at close.
+			return starWrap("s", core.Split(core.Serial(inc(1), idleSync()), "k"), 3)
+		}},
 		{"detsplit", true, func() *core.Entity {
 			return core.DetSplit(core.Serial(setTag("p", 1), inc(1)), "k")
 		}},

@@ -29,8 +29,11 @@
 // # Ownership and lifecycle
 //
 // Links follow the channel discipline of the runtime they replace: any
-// number of senders, one receiver, and Close only after every sender has
-// finished. Every potentially blocking operation takes a done channel and
+// number of senders, one receiver. A link counts its senders: it starts with
+// one, AddSender registers more, every sender closes once when it has
+// finished, and the last close ends the stream — so producers that share an
+// output (choice branches, split replicas, star taps) write straight into it
+// with no relay in between. Every potentially blocking operation takes a done channel and
 // gives up (returning false) when it closes, which is how Instance.Stop
 // unwinds a network mid-batch. Batch slices are pooled and recycled by the
 // receiver; records themselves are owned by whoever holds them, exactly as
@@ -137,6 +140,7 @@ type Link struct {
 	pendStamped bool      // pendAt is set for the current pending batch
 	flushing    int       // batches detached but not yet in ch
 	rwaiting    bool      // receiver is blocked waiting for a batch
+	senders     int       // registered senders that have not closed yet
 	closed      bool
 
 	// Sender-side counters, guarded by mu (the send path holds it anyway).
@@ -188,6 +192,16 @@ func (l *Link) Init(cfg Config) {
 	l.linger = cfg.FlushInterval
 	l.ch = make(chan *Batch, chCap)
 	l.flushCond.L = &l.mu
+	l.senders = 1
+}
+
+// AddSender registers n more senders, each of which must Close once. Only a
+// registered sender that has not closed yet may call it, so the count cannot
+// reach zero underneath it.
+func (l *Link) AddSender(n int) {
+	l.mu.Lock()
+	l.senders += n
+	l.mu.Unlock()
 }
 
 // BatchSize returns the link's effective records-per-batch ceiling.
@@ -439,11 +453,12 @@ func (l *Link) push(b *Batch, done <-chan struct{}) bool {
 	return ok
 }
 
-// Close flushes any pending records and closes the link. It must only be
-// called once, by the last sender standing — the same discipline as closing
-// a Go channel. When done closes before the final flush lands, the pending
-// records are dropped (the instance is being aborted) and the link is
-// closed anyway so the receiver unblocks.
+// Close signs one sender off: it flushes any pending records, and the last
+// registered sender's close ends the stream — the same discipline as closing
+// a Go channel, counted. Each sender closes once; a close after the stream
+// has ended does nothing. When done closes before the flush lands, the
+// pending records are dropped (the instance is being aborted) and the final
+// close ends the stream anyway so the receiver unblocks.
 func (l *Link) Close(done <-chan struct{}) {
 	l.mu.Lock()
 	if l.closed {
@@ -452,6 +467,11 @@ func (l *Link) Close(done <-chan struct{}) {
 	}
 	if l.pend != nil && len(l.pend.Recs) > 0 {
 		l.flushPend(done, &l.idleFlushes)
+	}
+	// flushPend may have dropped the lock; the count is read after it.
+	if l.senders--; l.senders > 0 {
+		l.mu.Unlock()
+		return
 	}
 	l.closed = true
 	l.mu.Unlock()

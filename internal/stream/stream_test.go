@@ -401,3 +401,75 @@ func TestStatsFlushBreakdown(t *testing.T) {
 	}
 	close(done)
 }
+
+// TestLinkSendersCloseOnce: a link counts its senders. Concurrent senders
+// each close once; the stream ends at the last close only, with every
+// sender's records delivered in that sender's order. A close that is not the
+// last flushes the pending batch rather than leaving it to a steal.
+func TestLinkSendersCloseOnce(t *testing.T) {
+	done := make(chan struct{})
+	const senders, per = 8, 500
+	l := NewLink(Config{Capacity: 64, BatchSize: 16})
+	l.AddSender(senders - 1)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if !l.Send(mk(i).SetTag("s", s), done) {
+					t.Error("Send refused")
+					return
+				}
+			}
+			l.Close(done)
+		}()
+	}
+	next := make([]int, senders)
+	n := 0
+	for {
+		r, ok := l.Recv(done)
+		if !ok {
+			break
+		}
+		s, _ := r.Tag("s")
+		if v := val(t, r); v != next[s] {
+			t.Fatalf("sender %d: record %d arrived, want %d", s, v, next[s])
+		}
+		next[s]++
+		n++
+	}
+	wg.Wait()
+	if n != senders*per {
+		t.Fatalf("stream ended after %d of %d records", n, senders*per)
+	}
+
+	// A non-final close flushes; only the final one ends the stream.
+	l = NewLink(Config{Capacity: 64, BatchSize: 16, FlushInterval: -1})
+	l.AddSender(1)
+	if !l.Send(mk(7), done) {
+		t.Fatal("Send refused")
+	}
+	l.Close(done)
+	if s := l.Stats(); s.SentBatches != 1 || s.IdleFlushes != 1 || s.Steals != 0 {
+		t.Fatalf("non-final close left the record pending: %+v", s)
+	}
+	if r, ok := l.Recv(done); !ok || val(t, r) != 7 {
+		t.Fatalf("Recv = %v, %v", r, ok)
+	}
+	ended := make(chan bool, 1)
+	go func() {
+		_, ok := l.Recv(done)
+		ended <- !ok
+	}()
+	select {
+	case <-ended:
+		t.Fatal("the stream ended at a non-final close")
+	case <-time.After(20 * time.Millisecond):
+	}
+	l.Close(done)
+	if !<-ended {
+		t.Fatal("Recv returned a record after the last close")
+	}
+	l.Close(done) // after the end: nothing
+}

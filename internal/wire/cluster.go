@@ -59,7 +59,7 @@ type CoordinatorConfig struct {
 	// PINGs the ones it has not heard from. Zero means 1s.
 	HeartbeatInterval time.Duration
 	// LivenessTimeout is how long a link may stay silent — no RESULT, no
-	// LOAD, no PONG — before its worker is declared dead, pending calls
+	// PING, no PONG — before its worker is declared dead, pending calls
 	// fail over to local slots, and the node waits for a rejoin. It must
 	// exceed HeartbeatInterval with margin; zero means 4×HeartbeatInterval.
 	LivenessTimeout time.Duration
@@ -144,8 +144,6 @@ type WireStats struct {
 	// as RECORD-BATCH frames; SkippedMirrors counts batches accounted by
 	// the model only (records without a wire form, or a dead peer).
 	MirroredBatches, SkippedMirrors int64
-	// StealRequests counts idle advertisements received from workers.
-	StealRequests int64
 	// LiveWorkers is how many worker connections are currently up.
 	LiveWorkers int
 }
@@ -193,10 +191,6 @@ type Cluster struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	// Gossiped load per node (LOAD frames; index 0 unused).
-	loads     []atomic.Int64
-	loadKnown []atomic.Bool
-
 	// Per-node fault ledger (health.go; index 0 unused).
 	healthMu sync.Mutex
 	health   []nodeHealth
@@ -213,7 +207,6 @@ type Cluster struct {
 	quarantines         atomic.Int64
 	mirroredBatches     atomic.Int64
 	skippedMirrors      atomic.Int64
-	stealReqs           atomic.Int64
 }
 
 type linkCodecs struct {
@@ -311,19 +304,17 @@ func Serve(ln net.Listener, cfg CoordinatorConfig) (*Cluster, error) {
 	}
 	nodes := cfg.Workers + 1
 	c := &Cluster{
-		cfg:       cfg,
-		model:     dist.NewCluster(nodes, cfg.CPUsPerNode),
-		probe:     dist.NewCodec(),
-		ln:        ln,
-		peers:     make([]atomic.Pointer[peer], cfg.Workers),
-		links:     make([]linkCodecs, cfg.Workers),
-		slotBusy:  make([]bool, cfg.Workers),
-		everUp:    make([]bool, cfg.Workers),
-		ready:     make(chan struct{}),
-		closed:    make(chan struct{}),
-		loads:     make([]atomic.Int64, nodes),
-		loadKnown: make([]atomic.Bool, nodes),
-		health:    make([]nodeHealth, nodes),
+		cfg:      cfg,
+		model:    dist.NewCluster(nodes, cfg.CPUsPerNode),
+		probe:    dist.NewCodec(),
+		ln:       ln,
+		peers:    make([]atomic.Pointer[peer], cfg.Workers),
+		links:    make([]linkCodecs, cfg.Workers),
+		slotBusy: make([]bool, cfg.Workers),
+		everUp:   make([]bool, cfg.Workers),
+		ready:    make(chan struct{}),
+		closed:   make(chan struct{}),
+		health:   make([]nodeHealth, nodes),
 	}
 	if cfg.Ext != nil {
 		c.probe.SetValueCodec(cfg.Ext)
@@ -489,8 +480,8 @@ func (c *Cluster) revertJoin(node int) {
 // version mismatch, malformed HELLO, or unassignable node id is answered
 // with GOODBYE (when writable) and reported as an error. On a rejoin the
 // node's codec pair is Reset — the new connection renegotiates every
-// label from scratch — and its gossiped load is re-seeded, returning the
-// node to the schedulable set with a clean slate.
+// label from scratch — returning the node to the schedulable set with a
+// clean slate.
 func (c *Cluster) admit(conn net.Conn) (*peer, error) {
 	//lint:reason conn deadlines are compared against real time by the kernel, never against the cluster clock
 	conn.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
@@ -530,8 +521,6 @@ func (c *Cluster) admit(conn net.Conn) (*peer, error) {
 		}
 		c.links[node-1].enc.Reset()
 		c.links[node-1].dec.Reset()
-		c.loads[node].Store(0)
-		c.loadKnown[node].Store(false)
 	}
 	p := &peer{
 		c:       c,
@@ -569,8 +558,8 @@ func (c *Cluster) admit(conn net.Conn) (*peer, error) {
 }
 
 // serve is a worker connection's reader: it decodes RESULT batches in
-// arrival order (pinning the codec negotiation order), feeds LOAD and
-// STEAL-REQUEST gossip, answers PINGs, and on any error — or the GOODBYE
+// arrival order (pinning the codec negotiation order), answers PINGs, and
+// on any error — or the GOODBYE
 // ack — tears the peer down, failing every pending EXEC so no box call
 // waits on a dead socket. Every received frame refreshes the peer's
 // liveness and, after a quarantine cool-down, requalifies the node.
@@ -617,17 +606,6 @@ func (c *Cluster) serve(p *peer) {
 				boxErr = errors.New(res.errmsg)
 			}
 			p.complete(res.req, execResult{outs: outs, err: boxErr})
-		case fLoad:
-			v, err := parseLoad(payload)
-			if err != nil {
-				return
-			}
-			c.loads[p.node].Store(int64(v))
-			c.loadKnown[p.node].Store(true)
-		case fStealReq:
-			c.stealReqs.Add(1)
-			c.loads[p.node].Store(0)
-			c.loadKnown[p.node].Store(true)
 		case fPing:
 			p.sendPong()
 		case fPong:
@@ -848,23 +826,15 @@ func (c *Cluster) mirror(from, to int, rs []*record.Record) {
 	}
 }
 
-// Loads implements core.LoadPlatform: element-wise max of the model's
-// slot ledger and the workers' gossiped gate occupancy. The model is
-// authoritative for work it granted; gossip can only raise a node's
-// reported load — it covers activity the model cannot see (a worker
-// shared with another tenant), never hides granted work. Nodes whose
-// worker is unavailable — dead connection, or quarantined — are reported
+// Loads implements core.LoadPlatform: the model's slot ledger, which counts
+// every execution it granted — remote ones included, for as long as their
+// call is outstanding. Nodes whose worker is unavailable — dead connection, or quarantined — are reported
 // as saturated, so load-aware placement and steal scans route around
 // them until a rejoin or probe restores them (graceful degradation: the
 // network keeps rendering on the remaining nodes).
 func (c *Cluster) Loads(dst []int) []int {
 	dst = c.model.Loads(dst)
 	for n := 1; n < len(dst) && n <= len(c.peers); n++ {
-		if c.loadKnown[n].Load() {
-			if g := int(c.loads[n].Load()); g > dst[n] {
-				dst[n] = g
-			}
-		}
 		p := c.peers[n-1].Load()
 		if p == nil || p.dead.Load() || c.quarantined(n) {
 			dst[n] += unavailableLoad
@@ -1107,7 +1077,6 @@ func (c *Cluster) WireStats() WireStats {
 		Quarantines:     c.quarantines.Load(),
 		MirroredBatches: c.mirroredBatches.Load(),
 		SkippedMirrors:  c.skippedMirrors.Load(),
-		StealRequests:   c.stealReqs.Load(),
 		LiveWorkers:     live,
 	}
 }

@@ -213,53 +213,6 @@ func TestDispatchTimeStealCrossesWire(t *testing.T) {
 	}
 }
 
-func TestLoadGossipRaisesLoads(t *testing.T) {
-	leakcheck.Check(t)
-	block := make(chan struct{})
-	started := make(chan struct{}, 1)
-	boxes := map[string]core.BoxFunc{
-		"slow": func(c *core.BoxCall) error {
-			started <- struct{}{}
-			<-block
-			return nil
-		},
-	}
-	f := startFleet(t, 1, 2, nil, boxes)
-	defer close(block)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f.cl.ExecBox(1, nil, "slow", record.New(), false, func() {})
-	}()
-	<-started
-	// The model already counts the granted slot; the worker's LOAD frame
-	// can only confirm (max-merge). Wait for it to arrive, then check the
-	// platform view.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if loads := f.cl.Loads(nil); loads[1] >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Loads never reflected the in-flight execution")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	block <- struct{}{}
-	<-done
-	if ws := f.cl.WireStats(); ws.StealRequests < 1 {
-		// After its last execution the worker goes idle and must
-		// advertise hunger.
-		deadline := time.Now().Add(5 * time.Second)
-		for f.cl.WireStats().StealRequests < 1 {
-			if time.Now().After(deadline) {
-				t.Fatal("idle worker never sent STEAL-REQUEST")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
 func TestPeerDeathFailsOverToLocal(t *testing.T) {
 	leakcheck.Check(t)
 	// A fake worker: joins the fleet, then slams the connection shut the

@@ -274,8 +274,7 @@ func TestLateResultDiscardedWithoutRetry(t *testing.T) {
 		t.Fatalf("stats = %+v", ws)
 	}
 
-	// Recovery: the withheld frames (LOAD, the late RESULT) deliver in
-	// order; the stale RESULT matches no pending call and is dropped.
+	// Recovery: the withheld frames (the late RESULT) deliver in order; the stale RESULT matches no pending call and is dropped.
 	link.SetWriteMode(faultwire.Pass, 0)
 	r = <-execAsync(cl, 1, "double", record.New().SetField("x", 5))
 	if r.err != nil || !r.remote {
@@ -378,8 +377,8 @@ func TestConcurrentHammerSurvivesMidResultSever(t *testing.T) {
 		<-workerErr
 	}()
 
-	// 40 bytes of budget lands inside the first handful of worker frames
-	// (LOADs are 7 bytes on the wire, RESULTs bigger): some frame is
+	// 40 bytes of budget lands inside the first few worker frames (a
+	// RESULT is 16 bytes before its batch): some frame is
 	// guaranteed torn while its call — which cannot have completed — is
 	// still pending, so Failovers >= 1 is certain, not probabilistic.
 	d.Last().SeverAfterWrite(40)

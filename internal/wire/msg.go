@@ -301,19 +301,6 @@ func parseBatch(payload []byte) (batchMsg, error) {
 	return b, nil
 }
 
-// LOAD: gate occupancy u16 (executions running plus queued at the worker).
-func appendLoad(buf []byte, load int) []byte {
-	if load > math.MaxUint16 {
-		load = math.MaxUint16
-	}
-	return appendU16(buf, load)
-}
-
-func parseLoad(payload []byte) (int, error) {
-	m := &mr{buf: payload}
-	return m.u16()
-}
-
 // GOODBYE: reason (u16 + bytes).
 func appendGoodbye(buf []byte, reason string) []byte {
 	if len(reason) > math.MaxUint16 {

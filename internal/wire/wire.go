@@ -43,8 +43,6 @@
 //	                                        heartbeat interval, liveness)
 //	                              ← EXEC / STEAL-GRANT(req, box, record)
 //	  RESULT(req, emissions)      →
-//	  LOAD(gate occupancy)        →
-//	  STEAL-REQUEST (idle)        →
 //	                              ← RECORD-BATCH (stream hops, mirrored)
 //	                              ← PING (idle link, liveness probe)
 //	  PONG                        →
@@ -78,8 +76,10 @@ import (
 // protoVersion is the protocol version exchanged in HELLO/WELCOME; a
 // mismatch is answered with GOODBYE and the connection is closed.
 // Version 2 added the rejoin node id to HELLO, the heartbeat parameters to
-// WELCOME, and the PING/PONG frames.
-const protoVersion = 2
+// WELCOME, and the PING/PONG frames; version 3 dropped the LOAD and
+// STEAL-REQUEST frames (types 7 and 8, now unassigned): the coordinator's
+// model already counts every slot it grants.
+const protoVersion = 3
 
 // helloMagic leads every HELLO frame ("SNET"), so a stray connection from
 // something that is not a worker fails fast instead of being interpreted.
@@ -93,8 +93,6 @@ const (
 	fStealGrant byte = 4  // coordinator → worker: run a box call stolen from its home node
 	fResult     byte = 5  // worker → coordinator: a box call's emissions
 	fBatch      byte = 6  // coordinator → worker: a mirrored stream batch (RECORD-BATCH)
-	fLoad       byte = 7  // worker → coordinator: gate occupancy gossip
-	fStealReq   byte = 8  // worker → coordinator: idle, hungry for migrated work
 	fGoodbye    byte = 9  // either direction: orderly leave, with reason
 	fPing       byte = 10 // either direction: liveness probe (empty payload)
 	fPong       byte = 11 // either direction: liveness probe answer (empty payload)

@@ -10,16 +10,16 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	buf := appendFrame(nil, fLoad, appendLoad(nil, 3))
+	buf := appendFrame(nil, fGoodbye, appendGoodbye(nil, "done"))
 	typ, payload, err := readFrame(bytes.NewReader(buf), DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != fLoad {
+	if typ != fGoodbye {
 		t.Fatalf("type = %d", typ)
 	}
-	if v, err := parseLoad(payload); err != nil || v != 3 {
-		t.Fatalf("load = %d, %v", v, err)
+	if v, err := parseGoodbye(payload); err != nil || v != "done" {
+		t.Fatalf("goodbye = %q, %v", v, err)
 	}
 	if frameLen(len(payload)) != int64(len(buf)) {
 		t.Fatalf("frameLen = %d, wire = %d", frameLen(len(payload)), len(buf))

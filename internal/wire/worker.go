@@ -2,8 +2,9 @@
 // cmd/snetd process. A worker owns no scheduling policy — the coordinator's
 // model granted a slot before any EXEC frame was sent — it just runs box
 // bodies against its registered table, gated on its own slot count so a
-// worker shared between clusters can never be oversubscribed, and gossips
-// its occupancy back so the coordinator's load-aware placers see reality.
+// worker shared between clusters can never be oversubscribed. The
+// coordinator's model counts the slots it grants, so a worker reports
+// nothing but its results.
 //
 // Workers are the expendable half of the fault model: a worker that loses
 // its coordinator reconnects with jittered exponential backoff (RunLoop)
@@ -93,9 +94,8 @@ type Worker struct {
 	wbuf   []byte
 	hdrBuf []byte
 
-	inflight atomic.Int64 // executions accepted and not yet finished
-	execs    atomic.Int64
-	execWG   sync.WaitGroup
+	execs  atomic.Int64
+	execWG sync.WaitGroup
 }
 
 // NewWorker returns a worker with an empty box table.
@@ -357,8 +357,7 @@ func (w *Worker) pinger(done chan struct{}, interval time.Duration) {
 	}
 }
 
-// execute runs one box call on a gate slot and sends its RESULT, with
-// LOAD gossip around it and a STEAL-REQUEST when the worker goes idle.
+// execute runs one box call on a gate slot and sends its RESULT.
 func (w *Worker) execute(req uint64, box string, in *record.Record) {
 	defer w.execWG.Done()
 	fn, found := w.boxes[box]
@@ -366,21 +365,13 @@ func (w *Worker) execute(req uint64, box string, in *record.Record) {
 		w.sendResult(req, nil, fmt.Errorf("box %q is not registered on worker node %d", box, w.node))
 		return
 	}
-	w.sendLoad(int(w.inflight.Add(1)))
 	var outs []*record.Record
 	var boxErr error
 	w.gate.Exec(0, func() {
 		outs, boxErr = core.CallBox(fn, in)
 	})
 	w.execs.Add(1)
-	left := w.inflight.Add(-1)
 	w.sendResult(req, outs, boxErr)
-	w.sendLoad(int(left))
-	if left == 0 {
-		// Idle: advertise hunger for migrated work (the coordinator's
-		// model treats this as "load zero", feeding its steal scans).
-		w.write(fStealReq)
-	}
 }
 
 // sendResult marshals the emissions and writes the RESULT frame under one
@@ -408,14 +399,6 @@ func (w *Worker) sendResult(req uint64, outs []*record.Record, boxErr error) {
 	hdr := appendResultHeader(w.hdrBuf[:0], req, status, errmsg)
 	w.hdrBuf = hdr
 	w.writeLocked(fResult, hdr, batch)
-}
-
-func (w *Worker) sendLoad(load int) {
-	w.wmu.Lock()
-	g := appendLoad(w.hdrBuf[:0], load)
-	w.hdrBuf = g
-	w.writeLocked(fLoad, g)
-	w.wmu.Unlock()
 }
 
 // write sends one frame, taking the write lock.
