@@ -306,16 +306,33 @@ func TestCompileMinusEqAndUnaryMinus(t *testing.T) {
 
 // --- Full paper programs -------------------------------------------------
 
-// sink collects records delivered to a terminal box.
+// sink collects records delivered to a terminal box and counts the
+// merger's init firings, one per <fst>-tagged chunk.
 type sink struct {
-	mu   sync.Mutex
-	pics []map[int]string
+	mu    sync.Mutex
+	pics  []map[int]string
+	inits int
+
+	// hold, when set, runs before solve renders a section.
+	hold func(section)
 }
 
 func (s *sink) add(p map[int]string) {
 	s.mu.Lock()
 	s.pics = append(s.pics, p)
 	s.mu.Unlock()
+}
+
+func (s *sink) initFired() {
+	s.mu.Lock()
+	s.inits++
+	s.mu.Unlock()
+}
+
+func (s *sink) initCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inits
 }
 
 // registerRayBoxes registers toy implementations of the paper's boxes over
@@ -358,6 +375,9 @@ func registerRayBoxes(reg *Registry, out *sink, tokens int) {
 	solve := func(c *core.BoxCall) error {
 		scene := c.Field("scene").(string)
 		s := c.Field("sect").(section)
+		if out.hold != nil {
+			out.hold(s)
+		}
 		c.Emit(record.New().
 			SetField("chunk", chunk{Index: s.Index, Data: strings.ToUpper(scene[s.Lo:s.Hi])}))
 		return nil
@@ -366,6 +386,7 @@ func registerRayBoxes(reg *Registry, out *sink, tokens int) {
 	reg.RegisterBox("solve", solve)
 	reg.RegisterBox("init", func(c *core.BoxCall) error {
 		ch := c.Field("chunk").(chunk)
+		out.initFired()
 		c.Emit(record.New().SetField("pic", map[int]string{ch.Index: ch.Data}))
 		return nil
 	})
@@ -448,7 +469,10 @@ const dynDeclsSrc = `
 // the recycled node token carries <fst>, the section it joins produces a
 // second <fst>-tagged chunk, the merger's init box fires twice, and the
 // picture never completes. The run terminates cleanly but genImg receives
-// nothing.
+// nothing. With one token that is certain: every section joins the <fst>
+// token. With several it depends on the schedule: if the other tokens take
+// every waiting section before the <fst> token comes back, the <fst> token
+// joins none and the picture completes after all.
 const fig4VerbatimSrc = `
 net raytracing_dyn {` + dynDeclsSrc + `} connect
     splitter
@@ -573,28 +597,80 @@ func TestFig4DynamicTokenSweep(t *testing.T) {
 }
 
 // TestFig4VerbatimTokenInheritsFst documents the reproduction finding: the
-// verbatim Fig. 4 network terminates cleanly but never completes a picture,
-// because recycled tokens flow-inherit <fst> (see fig4VerbatimSrc). With one
-// token every later section joins the token the <fst> section recycled, so
-// the finding holds under every schedule; with several, a schedule in which
-// the other tokens take every waiting section before the <fst> token comes
-// back completes the picture after all.
+// verbatim Fig. 4 network terminates cleanly, but recycled tokens
+// flow-inherit <fst> (see fig4VerbatimSrc), so the merger's init box fires
+// once more for every section the <fst> token joins, and a picture completes
+// only if it joins none.
 func TestFig4VerbatimTokenInheritsFst(t *testing.T) {
-	out := &sink{}
 	const scene = "abcdefghijklmnopqrstuvwx"
-	const tasks, nodes, tokens = 8, 4, 1
-	ent := compileRaytracing(t, fig4VerbatimSrc, out, tokens)
-	_, err := core.NewNetwork(ent, core.Options{}).Run(
-		record.Build().F("scene", scene).T("nodes", nodes).T("tasks", tasks).Rec())
-	if err != nil {
-		t.Fatal(err)
+	const tasks, nodes = 8, 4
+	run := func(t *testing.T, out *sink, tokens int) {
+		t.Helper()
+		ent := compileRaytracing(t, fig4VerbatimSrc, out, tokens)
+		_, err := core.NewNetwork(ent, core.Options{}).Run(
+			record.Build().F("scene", scene).T("nodes", nodes).T("tasks", tasks).Rec())
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	out.mu.Lock()
-	defer out.mu.Unlock()
-	if len(out.pics) != 0 {
-		t.Fatalf("verbatim Fig. 4 unexpectedly completed %d picture(s); "+
-			"the <fst>-inheritance finding no longer reproduces", len(out.pics))
+	noPicture := func(t *testing.T, out *sink) {
+		t.Helper()
+		out.mu.Lock()
+		defer out.mu.Unlock()
+		if len(out.pics) != 0 {
+			t.Fatalf("verbatim Fig. 4 completed %d picture(s) after %d init firings; "+
+				"the <fst>-inheritance finding no longer reproduces", len(out.pics), out.inits)
+		}
 	}
+
+	// One token: every later section joins the <fst> token, under every
+	// schedule.
+	t.Run("tokens=1", func(t *testing.T) {
+		out := &sink{}
+		run(t, out, 1)
+		if got := out.initCount(); got != tasks {
+			t.Fatalf("init fired %d times, want %d (every chunk <fst>-tagged)", got, tasks)
+		}
+		noPicture(t, out)
+	})
+
+	// Three tokens, any schedule: a picture completes exactly when init
+	// fired once, that is when the other tokens took every waiting section
+	// before the <fst> token came back.
+	t.Run("tokens=3", func(t *testing.T) {
+		out := &sink{}
+		run(t, out, 3)
+		switch inits := out.initCount(); {
+		case inits == 1:
+			checkScene(t, out, scene, tasks)
+		case inits > 1:
+			noPicture(t, out)
+		default:
+			t.Fatal("init never fired: the <fst> chunk did not reach the merger")
+		}
+	})
+
+	// Three tokens, the other two held in solve until a second <fst>-tagged
+	// chunk has reached the merger: the <fst> token is the only one free to
+	// take a waiting section, so it does, and the picture never completes.
+	t.Run("tokens=3/fst-first", func(t *testing.T) {
+		const tokens = 3
+		out := &sink{}
+		out.hold = func(s section) {
+			if s.Index == 0 || s.Index >= tokens {
+				return
+			}
+			for deadline := time.Now().Add(10 * time.Second); out.initCount() < 2 &&
+				time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		run(t, out, tokens)
+		if got := out.initCount(); got < 2 {
+			t.Fatalf("init fired %d times, want >= 2: no second <fst>-tagged chunk", got)
+		}
+		noPicture(t, out)
+	})
 }
 
 func TestFig2DescribeContainsPlacement(t *testing.T) {
