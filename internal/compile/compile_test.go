@@ -463,12 +463,12 @@ const dynDeclsSrc = `
 `
 
 // fig4VerbatimSrc embeds the paper's Fig. 4 solver segment verbatim in the
-// full network. REPRODUCTION FINDING (documented in EXPERIMENTS.md): under
-// faithful S-Net filter semantics, flow inheritance attaches the unmatched
-// <fst> tag to BOTH outputs of [ {chunk,<node>} -> {chunk}; {<node>} ], so
-// the recycled node token carries <fst>, the section it joins produces a
-// second <fst>-tagged chunk, the merger's init box fires twice, and the
-// picture never completes. The run terminates cleanly but genImg receives
+// full network. REPRODUCTION FINDING (documented in docs/combinators.md,
+// "Fig. 4 as written"): under faithful S-Net filter semantics, flow
+// inheritance attaches the unmatched <fst> tag to BOTH outputs of
+// [ {chunk,<node>} -> {chunk}; {<node>} ], so the recycled node token
+// carries <fst>, the section it joins produces a second <fst>-tagged chunk,
+// the merger's init box fires twice, and the picture never completes. The run terminates cleanly but genImg receives
 // nothing. With one token that is certain: every section joins the <fst>
 // token. With several it depends on the schedule: if the other tokens take
 // every waiting section before the <fst> token comes back, the <fst> token

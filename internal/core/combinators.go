@@ -298,13 +298,10 @@ func combName(branches []*Entity, sep string) string {
 // replica. Replicas are instantiated lazily, and — as the paper stresses —
 // the star never feeds records back; it unrolls.
 //
-// Under a dynamic placement policy (Options.Placer or Env.AtPolicy with
-// RoundRobin/LeastLoaded), each unfolded replica is placed at the moment it
-// is instantiated — the stage depth is the dispatch key — so a deep star's
-// box executions spread over the platform instead of piling onto the node
-// the star happened to be spawned on. Records crossing into and out of a
-// remotely placed replica are accounted against the platform's transfer
-// model, hop by hop.
+// A star and all of its unfoldings run on the star's own node, under every
+// placement policy: as in Distributed S-Net, work moves between nodes only
+// where the program says so (A@node, A!@<tag>), and an unfolding is one more
+// stage of a record's path, not a unit of dispatch.
 func Star(a *Entity, exit *rtype.Pattern) *Entity { return starEnt(a, exit, false) }
 
 // starEnt builds the star. With chained set — by the optimizer, through the
@@ -329,10 +326,10 @@ func starEnt(a *Entity, exit *rtype.Pattern, chained bool) *Entity {
 			// The first tap or driver is the sender out came with.
 			s := &star{env: env, a: a, exit: exit, out: out}
 			if chained {
-				c := s.newChain(0)
-				env.start(func() { s.drive(in, env.node, c) })
+				c := s.newChain()
+				env.start(func() { s.drive(in, c) })
 			} else {
-				env.start(func() { s.stage(in, 0, env.node) })
+				env.start(func() { s.stage(in) })
 			}
 		},
 	}
@@ -340,10 +337,10 @@ func starEnt(a *Entity, exit *rtype.Pattern, chained bool) *Entity {
 
 // star is one running star: what every tap needs, whichever way the
 // unfoldings run — the operand spawned per unfolding (stage) or a stage-tree
-// operand run by chain drivers (drive). The tap's part of the platform's
-// transfer model is here, once, for both.
+// operand run by chain drivers (drive). Every tap and every unfolding runs
+// on env's node.
 type star struct {
-	env  *Env // the star's own placement: every tap runs here
+	env  *Env // the star's own placement: every tap and unfolding runs here
 	a    *Entity
 	exit *rtype.Pattern
 	// out is where records leave the star. Every tap and every chain driver
@@ -361,54 +358,25 @@ func (s *star) start(fn func()) {
 	s.env.start(fn)
 }
 
-// recv takes a tap's next input record. inNode is the node the tap's input is
-// produced on (the previous replica's placement): a data record travelled
-// from there to the tap and is charged to the platform's transfer model.
-func (s *star) recv(in *stream.Link, inNode int) (*record.Record, bool) {
-	r, ok := s.env.recv(in)
-	if ok && r.IsData() {
-		s.env.transfer(inNode, s.env.node, r)
-	}
-	return r, ok
-}
-
 // leaves reports whether r leaves the star at a tap: it matches the exit
 // pattern, or it is a control record.
 func (s *star) leaves(r *record.Record) bool { return !r.IsData() || s.exit.Matches(r) }
 
-// place resolves where the replica at depth runs, the moment it is
-// instantiated: the stage depth is the dispatch key.
-func (s *star) place(depth int, scratch *[]int) *Env {
-	if s.env.dynamicPlacer() == nil {
-		return s.env
-	}
-	if node := s.env.place(depth, scratch); node != s.env.node {
-		return s.env.At(node)
-	}
-	return s.env
-}
-
-// dispatch charges r's hop from the tap to a replica placed at at.
-func (s *star) dispatch(at *Env, r *record.Record) {
-	s.env.transfer(s.env.node, at.node, r)
-}
-
 // stage is one unfolding of a star whose operand is spawned: the tap in
-// front of replica depth. It emits exit-matching records to the star's
-// output and lazily creates the replica plus the next stage when the first
-// non-exit record arrives.
-func (s *star) stage(in *stream.Link, depth, inNode int) {
+// front of one replica. It emits exit-matching records to the star's output
+// and lazily creates the replica plus the next stage when the first non-exit
+// record arrives.
+func (s *star) stage(in *stream.Link) {
 	env := s.env
 	defer env.closeLink(s.out)
 	var instIn *stream.Link // the replica's input, once it exists
-	inst := env
 	defer func() {
 		if instIn != nil {
 			env.closeLink(instIn)
 		}
 	}()
 	for {
-		r, ok := s.recv(in, inNode)
+		r, ok := env.recv(in)
 		if !ok {
 			return
 		}
@@ -419,15 +387,11 @@ func (s *star) stage(in *stream.Link, depth, inNode int) {
 			continue
 		}
 		if instIn == nil {
-			var scratch []int
-			inst = s.place(depth, &scratch)
 			instIn = env.newLink()
 			instOut := env.newLink()
-			s.a.spawn(inst, instIn, instOut)
-			node := inst.node
-			s.start(func() { s.stage(instOut, depth+1, node) })
+			s.a.spawn(env, instIn, instOut)
+			s.start(func() { s.stage(instOut) })
 		}
-		s.dispatch(inst, r)
 		if !env.send(instIn, r) {
 			return
 		}
@@ -438,14 +402,13 @@ func (s *star) stage(in *stream.Link, depth, inNode int) {
 // the instance's done channel.
 const stopCheckEvery = 64
 
-// chain is the run of unfoldings one driver owns: the replicas at depth,
-// depth+1, … depth+n-1 as instantiations of one machine, and the hand-off
-// behind the last of them, if there is one.
+// chain is the run of unfoldings one driver owns: n consecutive replicas as
+// instantiations of one machine, and the hand-off behind the last of them,
+// if there is one.
 type chain struct {
-	m        *machine
-	depth, n int
-	next     *stream.Link // hand-off: where replica n-1's output goes
-	lastEnv  *Env         // replica n-1's placement when next is set
+	m    *machine
+	n    int
+	next *stream.Link // hand-off: where replica n-1's output goes
 }
 
 // chainItem is a record on its way through a chain, in front of the tap of
@@ -455,10 +418,9 @@ type chainItem struct {
 	i int
 }
 
-// newChain is the chain of a driver that starts at depth, nothing
-// instantiated yet.
-func (s *star) newChain(depth int) chain {
-	return chain{m: newMachine(s.env, s.a), depth: depth}
+// newChain is the chain of a new driver, nothing instantiated yet.
+func (s *star) newChain() chain {
+	return chain{m: newMachine(s.env, s.a)}
 }
 
 // drive runs a chain: the taps in front of its replicas and the replicas
@@ -477,24 +439,16 @@ func (s *star) newChain(depth int) chain {
 //
 // The driver hands off — replica k's output leaves over a link to a new
 // driver that owns the unfoldings from k+1 on, which is what every unfolding
-// used to do — only where a goroutine buys overlap:
-//
-//   - the placement policy puts replica k on another node than the star's.
-//     The hops there and back are charged to the platform's transfer model
-//     exactly as a tap per unfolding charged them, and a modelled hop sleeps:
-//     the driver behind the link takes the return hop while this one moves
-//     on, and hands off after its first replica in turn, so no driver sleeps
-//     both for a return hop and for the hop out to the next replica placed
-//     elsewhere unless the two are neighbours, as a tap's were;
-//   - replica k ran its box on a record no synchrocell released in the same
-//     pass: there is no cell in front of the box, or the cells have fired and
-//     are the identity now. Such a box runs on every record that matches it,
-//     so unfoldings pipeline. A box that only ever runs on a join runs once
-//     per join, and the unfoldings are serial by data dependence.
+// used to do — only where a goroutine buys overlap: replica k ran its box on
+// a record no synchrocell released in the same pass. There is no cell in
+// front of the box, or the cells have fired and are the identity now. Such a
+// box runs on every record that matches it, so unfoldings pipeline. A box
+// that only ever runs on a join runs once per join, and the unfoldings are
+// serial by data dependence.
 //
 // Close discards what the synchrocells still hold, in depth order, then
 // closes the hand-off link and signs off from the star's output.
-func (s *star) drive(in *stream.Link, inNode int, c chain) {
+func (s *star) drive(in *stream.Link, c chain) {
 	env, m := s.env, c.m
 	defer env.closeLink(s.out)
 	defer func() {
@@ -503,12 +457,9 @@ func (s *star) drive(in *stream.Link, inNode int, c chain) {
 			env.closeLink(c.next)
 		}
 	}()
-	var (
-		scratch []int // placement load snapshot
-		work    []chainItem
-	)
+	var work []chainItem
 	for {
-		r, ok := s.recv(in, inNode)
+		r, ok := env.recv(in)
 		if !ok {
 			return
 		}
@@ -532,30 +483,16 @@ func (s *star) drive(in *stream.Link, inNode int, c chain) {
 			if i == c.n {
 				c.n++
 				m.instantiate()
-				// A replica elsewhere is the last this driver owns, and so is
-				// the first behind a return hop.
-				if at := s.place(c.depth+i, &scratch); at != env || (i == 0 && inNode != env.node) {
-					s.handOff(&c, i, at)
-				}
 			}
-			// With a hand-off, replica n-1's output leaves over next, from
-			// its own node's environment.
+			// With a hand-off, replica n-1's output leaves over next.
 			last := c.next != nil && i == c.n-1
-			at := env
-			if last {
-				at = c.lastEnv
-				s.dispatch(at, r)
-			}
-			if m.env != at {
-				m.env, m.call.env = at, at
-			}
 			m.use(i)
 			m.joined, m.ranUngated = false, false
 			if !m.run(m.ent.stages, r, nil) {
 				return
 			}
 			if m.ranUngated && !last {
-				s.handOff(&c, i, env)
+				s.handOff(&c, i)
 				last = true
 			}
 			if last {
@@ -575,17 +512,17 @@ func (s *star) drive(in *stream.Link, inNode int, c chain) {
 	}
 }
 
-// handOff cuts chain c behind its i-th replica, which runs at at: a new
-// driver takes over the unfoldings behind it — their state, and the hand-off
-// c had — and c's i-th replica puts out over a link to it from now on.
-func (s *star) handOff(c *chain, i int, at *Env) {
+// handOff cuts chain c behind its i-th replica: a new driver takes over the
+// unfoldings behind it — their state, and the hand-off c had — and c's i-th
+// replica puts out over a link to it from now on.
+func (s *star) handOff(c *chain, i int) {
 	k := i + 1
-	rest := s.newChain(c.depth + k)
-	rest.n, rest.next, rest.lastEnv = c.n-k, c.next, c.lastEnv
+	rest := s.newChain()
+	rest.n, rest.next = c.n-k, c.next
 	c.m.moveState(rest.m, k)
 	in := s.env.newLink()
-	c.n, c.next, c.lastEnv = k, in, at
-	s.start(func() { s.drive(in, at.node, rest) })
+	c.n, c.next = k, in
+	s.start(func() { s.drive(in, rest) })
 }
 
 // At builds the static placement A@node from Distributed S-Net: the operand

@@ -132,13 +132,13 @@ type Options struct {
 	FlushInterval time.Duration
 	// Platform is the compute substrate; nil means LocalPlatform.
 	Platform Platform
-	// Placer is the placement policy dynamic placement sites consult at
-	// dispatch time: which node an indexed-split replica (SplitAt) is
-	// instantiated on, where an untagged record is dispatched, which node
-	// a star unfolding's replica runs on. Nil selects Static — the
-	// pre-stamped-tag convention, where the tag value is the node — which
-	// reproduces the pre-policy behavior exactly. See Env.AtPolicy for
-	// overriding the policy per subtree.
+	// Placer is the placement policy the dynamic placement sites consult
+	// at dispatch time: which node an indexed-split replica (SplitAt) is
+	// instantiated on, and where an untagged record is dispatched. Nil
+	// selects Static — the pre-stamped-tag convention, where the tag value
+	// is the node — which reproduces the pre-policy behavior exactly. It is
+	// the one place a policy is set, for the whole instance; a star and its
+	// unfoldings run on the star's node under every policy.
 	Placer Placer
 	// WorkStealing lets a box execution queued on a busy node be claimed
 	// by an idle node, when the platform supports migration
@@ -314,16 +314,6 @@ func (lr *linkReg) snapshot() []stream.Stats {
 func (e *Env) At(node int) *Env {
 	c := *e
 	c.node = node
-	return &c
-}
-
-// AtPolicy returns a copy of the environment whose dynamic placement sites
-// (indexed splits, untagged dispatch, star unfoldings) use placement policy
-// p instead of the instance-wide Options.Placer. Like At it scopes
-// lexically: the override covers the subtree spawned from the copy.
-func (e *Env) AtPolicy(p Placer) *Env {
-	c := *e
-	c.placer = p
 	return &c
 }
 

@@ -93,8 +93,8 @@ type OptStats struct {
 //   - Star chains: a star whose operand is a stage tree runs its
 //     unfoldings — tap and operand — as a chain in one driver goroutine
 //     instead of spawning the operand per unfolding; it hands off to a new
-//     driver only at an unfolding placed on another node and behind one
-//     whose box ran on a record no synchrocell released in the same pass.
+//     driver only behind an unfolding whose box ran on a record no
+//     synchrocell released in the same pass.
 //   - Split executors: a plain split (A!<t>) whose operand is a stage tree
 //     keeps one state block per tag value and runs the tree on executors —
 //     goroutines spawned only when a replica has records and no executor is

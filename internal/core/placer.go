@@ -7,17 +7,18 @@ import (
 )
 
 // Placer decides which compute node a dynamically placed dispatch unit — an
-// indexed-split replica, an untagged record, a star unfolding — runs on.
+// indexed-split replica or an untagged record of A!@<tag> — runs on.
 // Placement is an extra-functional concern: a Placer never changes what a
 // network computes, only where its box executions queue, so policies can be
-// swapped per instantiation (Options.Placer) or per subtree (Env.AtPolicy)
-// without touching network structure.
+// swapped per instantiation (Options.Placer) without touching network
+// structure. It is consulted only where the program places work (A!@<tag>);
+// a star's unfoldings stay on the star's node.
 //
-// Place is called with the dispatch key (a split tag value, an untagged
-// dispatch sequence number, a star stage depth), the platform's node count,
-// and — when the platform reports it (LoadPlatform) — a per-node load
-// snapshot. It must be safe for concurrent use: one Placer instance serves
-// every dynamic placement site of a network instance.
+// Place is called with the dispatch key (a split tag value or an untagged
+// dispatch sequence number), the platform's node count, and — when the
+// platform reports it (LoadPlatform) — a per-node load snapshot. It must be
+// safe for concurrent use: one Placer instance serves every dynamic
+// placement site of a network instance.
 type Placer interface {
 	// Place returns the node for dispatch key key. nodes is at least 1;
 	// load is the platform's per-node load snapshot (CPU slots in use

@@ -1,13 +1,15 @@
 package core
 
 // Placement-policy coverage: the Placer implementations, dispatch-time
-// node resolution in SplitAt (including untagged dispatch), star-unfolding
-// placement, and the AtPolicy environment override.
+// node resolution in SplitAt (including untagged dispatch), and stars that
+// stay on their node under every policy.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"snet/internal/dist"
 	"snet/internal/leakcheck"
 	"snet/internal/record"
 	"snet/internal/rtype"
@@ -94,24 +96,6 @@ func TestLeastLoadedPlacerPicksMinimum(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("LeastLoaded without load hit %d distinct nodes, want 4", len(seen))
-	}
-}
-
-func TestAtPolicyOverridesPlacer(t *testing.T) {
-	plat := newFakeCluster(4)
-	plat.setLoads(9, 9, 0, 9)
-	env := newEnv(Options{Platform: plat, Placer: Static{}})
-	var scratch []int
-	if got := env.place(7, &scratch); got != 3 {
-		t.Fatalf("static env.place(7) = %d, want 3", got)
-	}
-	ll := env.AtPolicy(&LeastLoaded{})
-	if got := ll.place(7, &scratch); got != 2 {
-		t.Fatalf("AtPolicy(LeastLoaded).place = %d, want least-loaded node 2", got)
-	}
-	// The original environment is untouched (AtPolicy copies).
-	if got := env.place(7, &scratch); got != 3 {
-		t.Fatalf("env.place after AtPolicy copy = %d, want 3", got)
 	}
 }
 
@@ -206,70 +190,74 @@ func TestSplitAtPlacedByLoad(t *testing.T) {
 	}
 }
 
-// TestStarUnfoldingPlacedByPolicy verifies star replicas are placed at
-// unfolding time: with RoundRobin, consecutive stages land on consecutive
-// nodes rather than all on the star's spawn node.
-func TestStarUnfoldingPlacedByPolicy(t *testing.T) {
+// TestStarStaysOnItsNode: a dynamic policy places work only at A!@<tag>,
+// never a star's unfoldings. Under RoundRobin and under LeastLoaded (with a
+// load report that makes the star's node the busiest), every execution of a
+// six-unfolding star runs on the star's node, spawned per unfolding or run
+// as a chain, and a dist.Cluster charges no transfer.
+func TestStarStaysOnItsNode(t *testing.T) {
 	leakcheck.Check(t)
-	plat := newFakeCluster(3)
 	exit := rtype.NewPattern(rtype.NewVariant(rtype.F("x"))).WithGuard(
 		func(r *record.Record) bool {
 			v, _ := r.Field("x")
 			return v.(int) >= 6
 		}, "x >= 6")
-	outs, err := NewNetwork(Star(incBox("inc", 1), exit),
-		Options{Platform: plat, Placer: &RoundRobin{}}).Run(
-		record.New().SetField("x", 0))
-	if err != nil || len(outs) != 1 {
-		t.Fatalf("outs=%d err=%v", len(outs), err)
+	run := func(t *testing.T, plat Platform, p Placer, lvl OptimizeLevel) {
+		t.Helper()
+		outs, err := NewNetwork(Star(incBox("inc", 1), exit),
+			Options{Platform: plat, Placer: p, Optimize: lvl}).Run(
+			record.New().SetField("x", 0))
+		if err != nil || len(outs) != 1 {
+			t.Fatalf("outs=%d err=%v", len(outs), err)
+		}
 	}
-	// Six increments unroll six stages over three nodes round-robin: two
-	// executions per node.
-	for node, c := range plat.execSnapshot() {
-		if c != 2 {
-			t.Fatalf("node %d ran %d execs, want 2 (stages spread)", node, c)
+	for _, lvl := range []OptimizeLevel{OptimizeOff, OptimizeFull} {
+		policies := map[string]func() Placer{
+			"RoundRobin":  func() Placer { return &RoundRobin{} },
+			"LeastLoaded": func() Placer { return &LeastLoaded{} },
+		}
+		for name, policy := range policies {
+			t.Run(fmt.Sprintf("%s/optimize=%d", name, lvl), func(t *testing.T) {
+				plat := newFakeCluster(3)
+				plat.setLoads(9, 0, 0)
+				run(t, plat, policy(), lvl)
+				if execs := plat.execSnapshot(); execs[0] != 6 || execs[1]+execs[2] != 0 {
+					t.Fatalf("execs = %v, want all 6 on the star's node 0", execs)
+				}
+				cluster := dist.NewCluster(3, 1)
+				run(t, cluster, policy(), lvl)
+				st := cluster.Stats()
+				if st.Transfers != 0 || st.Execs[0] != 6 {
+					t.Fatalf("dist.Cluster: transfers = %d, execs = %v; want 0 and all 6 on node 0",
+						st.Transfers, st.Execs)
+				}
+			})
 		}
 	}
 }
 
-// stayHome is a dynamic policy that places everything on node 0.
-type stayHome struct{}
-
-func (stayHome) Place(_, _ int, _ []int) int { return 0 }
-
-// TestStarChainHandsOffAtNodeBoundaries: under a dynamic policy a chained
-// star still places every unfolding by depth, but only an unfolding that
-// leaves the star's node (or takes the hop back) costs a driver and a link;
-// unfoldings the policy keeps at home stay in the chain.
+// TestStarChainHandsOffAtNodeBoundaries: a chained star has no node
+// boundaries to hand off at any more. Under RoundRobin the fold idiom's
+// unfoldings all stay in one chain on the star's node — a driver and at most
+// three links, as under the default Static policy.
 func TestStarChainHandsOffAtNodeBoundaries(t *testing.T) {
 	leakcheck.Check(t)
 	const n = 16
-	links := func(p Placer) (int, []int) {
-		plat := newFakeCluster(2)
-		net, _ := foldIdiom(cntExit(n + 1))
-		inst := NewNetwork(net, Options{Platform: plat, Placer: p}).Start()
-		for _, r := range foldReadings(n + 1) {
-			inst.Send(r)
-		}
-		r := <-inst.Out
-		if acc, _ := r.Field("acc"); acc != (n+1)*(n+2)/2 {
-			t.Fatalf("placer %T: acc = %v", p, acc)
-		}
-		got := len(inst.LinkStats())
-		if err := inst.Close(); err != nil {
-			t.Fatalf("placer %T: %v", p, err)
-		}
-		return got, plat.execSnapshot()
+	plat := newFakeCluster(2)
+	net, _ := foldIdiom(cntExit(n + 1))
+	inst := NewNetwork(net, Options{Platform: plat, Placer: &RoundRobin{}}).Start()
+	for _, r := range foldReadings(n + 1) {
+		inst.Send(r)
 	}
-	if got, execs := links(stayHome{}); got > 3 || execs[1] != 0 {
-		t.Fatalf("everything placed at home: %d links, execs %v; want <= 3 links, none on node 1", got, execs)
+	r := <-inst.Out
+	if acc, _ := r.Field("acc"); acc != (n+1)*(n+2)/2 {
+		t.Fatalf("acc = %v", acc)
 	}
-	// Alternating nodes: every unfolding either leaves home or returns.
-	got, execs := links(&RoundRobin{})
-	if got < n-1 || got > n+3 {
-		t.Fatalf("alternating placement: %d links for %d unfoldings, want about one each", got, n)
+	links := len(inst.LinkStats())
+	if err := inst.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if execs[1] != n/2 {
-		t.Fatalf("alternating placement: execs %v, want %d folds on node 1", execs, n/2)
+	if execs := plat.execSnapshot(); links > 3 || execs[1] != 0 {
+		t.Fatalf("RoundRobin: %d links, execs %v; want <= 3 links, none on node 1", links, execs)
 	}
 }

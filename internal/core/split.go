@@ -21,8 +21,7 @@ func Split(a *Entity, tag string) *Entity { return splitEnt(a, tag, false, false
 // on exit.
 //
 // Which node a replica lands on is resolved at dispatch time by the
-// placement policy (Options.Placer, overridable per subtree with
-// Env.AtPolicy). The default Static policy keeps the pre-stamped-tag
+// placement policy (Options.Placer). The default Static policy keeps the pre-stamped-tag
 // convention — the tag value is the node, modulo the platform's node
 // count. RoundRobin and LeastLoaded make the node a runtime decision; the
 // tag then only identifies the replica. Under a dynamic policy the index

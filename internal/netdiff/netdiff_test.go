@@ -317,16 +317,16 @@ func TestMergerIdiom(t *testing.T) {
 	}
 }
 
-// TestMergerIdiomPlacedTransfers runs one window of the idiom on a four-node
-// dist.Cluster under RoundRobin: one star, so unfolding k is placed on node
-// k mod 4 on either side. Exactly one reading comes to rest in each
-// unfolding, so how many records cross how many taps — and with it the
-// number of charged transfers — does not depend on arrival order. The chain
-// hands off where an unfolding leaves the star's node and must charge what a
-// tap per unfolding charged there: the constant was read off the commit
-// before star chains (one goroutine per unfolding), on both sides.
+// TestMergerIdiomPlacedTransfers runs one window of the idiom, wrapped in
+// SplitAt(…, "k"), on a four-node dist.Cluster under RoundRobin: the one
+// replica for <k=0> is placed on node 1, and the whole star runs there with
+// it. The only charged transfers are the records that cross the !@
+// boundary: the window's unfold+1 readings out, one accumulator back. That
+// count does not depend on arrival order, and is the same with and without
+// the optimizer.
 func TestMergerIdiomPlacedTransfers(t *testing.T) {
-	const unfold, wantTransfers = 16, 204
+	const unfold = 16
+	const wantTransfers = unfold + 2
 	inputs := func() []*record.Record {
 		var ins []*record.Record
 		for i := 0; i <= unfold; i++ {
@@ -342,8 +342,10 @@ func TestMergerIdiomPlacedTransfers(t *testing.T) {
 		t.Run(fmt.Sprintf("optimize=%d", lvl), func(t *testing.T) {
 			leakcheck.Check(t)
 			cluster := dist.NewCluster(4, 2)
-			outs, err := core.NewNetwork(merger(), core.Options{
-				Optimize: lvl, Platform: cluster, Placer: &core.RoundRobin{},
+			rr := &core.RoundRobin{}
+			rr.Place(0, 4, nil) // the cursor's next node is 1, not the split's node 0
+			outs, err := core.NewNetwork(core.SplitAt(merger(), "k"), core.Options{
+				Optimize: lvl, Platform: cluster, Placer: rr,
 			}).Run(inputs()...)
 			if err != nil || len(outs) != 1 {
 				t.Fatalf("outs=%v err=%v", outs, err)
@@ -351,8 +353,13 @@ func TestMergerIdiomPlacedTransfers(t *testing.T) {
 			if acc, _ := outs[0].Field("acc"); acc != unfold*(unfold+1)/2 {
 				t.Fatalf("acc = %v, want %d", acc, unfold*(unfold+1)/2)
 			}
-			if got := cluster.Stats().Transfers; got != wantTransfers {
+			st := cluster.Stats()
+			if got := st.Transfers; got != wantTransfers {
 				t.Fatalf("Stats.Transfers = %d, want %d", got, wantTransfers)
+			}
+			// One seed and unfold folds, all on the placed node.
+			if st.Execs[1] != unfold+1 {
+				t.Fatalf("execs %v, want all %d box executions on node 1", st.Execs, unfold+1)
 			}
 		})
 	}

@@ -197,10 +197,10 @@ net raytracing_stat2
 
 // DynamicSource is the Fig. 4 dynamically scheduled network. The chunk/token
 // filter deviates from the paper's figure in one respect, documented in
-// EXPERIMENTS.md: a choice of two filters routes the <fst> tag explicitly
-// with the chunk, because under faithful flow-inheritance semantics the
-// figure's single filter would attach <fst> to the recycled node token and
-// the merger's init box would fire twice.
+// docs/combinators.md, "Fig. 4 as written": a choice of two filters routes
+// the <fst> tag explicitly with the chunk, because under faithful
+// flow-inheritance semantics the figure's single filter would attach <fst>
+// to the recycled node token and the merger's init box would fire twice.
 const DynamicSource = `
 net raytracing_dyn
 {

@@ -3,9 +3,11 @@ package snetray
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"snet/internal/core"
 	"snet/internal/dist"
+	"snet/internal/leakcheck"
 	"snet/internal/mpiray"
 	"snet/internal/raytrace"
 	"snet/internal/sched"
@@ -276,4 +278,45 @@ func TestCrossImplementationAgreement(t *testing.T) {
 	if !snetRes.Image.Equal(mpiImg) {
 		t.Fatal("S-Net and MPI renders differ")
 	}
+}
+
+// TestDynamicStealRenderPictureStaysHome pins where DynamicSteal's records
+// travel on the render_skewed benchmark's configuration: a 128×96 skewed
+// scene of 100 objects, 4×2 cluster, 32 tasks, a 200 µs / 100 Mbit/s
+// interconnect, sections held 8× their cost.
+//
+// Only solver!@<node> places work. A section leaves the splitter's node for
+// its placed solver at most once, and its chunk comes back at most once:
+// two hops per task, none when the section is placed at home. A steal moves
+// the section once more, and the cluster counts that hop in Migrated. The
+// merger's star and the picture it assembles stay on the merger's node, so
+//
+//	Transfers ≤ 2·Tasks + Migrated.
+//
+// Placing each star unfolding by policy moved the picture under assembly
+// from node to node, an order of magnitude more hops than that.
+func TestDynamicStealRenderPictureStaysHome(t *testing.T) {
+	leakcheck.Check(t)
+	const w, h, nodes, cpus, tasks = 128, 96, 4, 2, 32
+	scene := raytrace.SkewedScene(100, 2)
+	want, _ := raytrace.Render(scene, w, h)
+	cluster := dist.NewCluster(nodes, cpus)
+	cluster.SetTransferCost(200*time.Microsecond, 12.5e6)
+	res, err := Render(Config{
+		Scene: scene, W: w, H: h,
+		Nodes: nodes, CPUs: cpus, Tasks: tasks, Mode: DynamicSteal, SolveScale: 8,
+		Cluster: cluster,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Image.Equal(want) {
+		t.Fatal("dynamic-steal image differs from sequential render")
+	}
+	st := res.Cluster
+	if bound := 2*tasks + st.Migrated; st.Transfers > bound {
+		t.Fatalf("Transfers = %d, want <= 2·Tasks + Migrated = %d (migrated %d)",
+			st.Transfers, bound, st.Migrated)
+	}
+	t.Logf("transfers %d, migrated %d, bound %d", st.Transfers, st.Migrated, 2*tasks+st.Migrated)
 }

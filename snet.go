@@ -192,8 +192,9 @@ type (
 	LoadPlatform = core.LoadPlatform
 	// Placer is a placement policy: it decides, at dispatch time, which
 	// compute node a dynamically placed unit of work — an indexed-split
-	// replica, an untagged record under SplitAt, a star unfolding — runs
-	// on. Set it via Options.Placer; nil keeps the Static convention.
+	// replica or an untagged record under SplitAt — runs on. A star's
+	// unfoldings stay on the star's node under every policy. Set it via
+	// Options.Placer; nil keeps the Static convention.
 	Placer = core.Placer
 	// Static places by dispatch key modulo node count — the
 	// pre-stamped-tag convention of Distributed S-Net, and the default.
