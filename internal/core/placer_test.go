@@ -211,21 +211,24 @@ func TestStarStaysOnItsNode(t *testing.T) {
 			t.Fatalf("outs=%d err=%v", len(outs), err)
 		}
 	}
+	policies := []struct {
+		name string
+		new  func() Placer
+	}{
+		{"RoundRobin", func() Placer { return &RoundRobin{} }},
+		{"LeastLoaded", func() Placer { return &LeastLoaded{} }},
+	}
 	for _, lvl := range []OptimizeLevel{OptimizeOff, OptimizeFull} {
-		policies := map[string]func() Placer{
-			"RoundRobin":  func() Placer { return &RoundRobin{} },
-			"LeastLoaded": func() Placer { return &LeastLoaded{} },
-		}
-		for name, policy := range policies {
-			t.Run(fmt.Sprintf("%s/optimize=%d", name, lvl), func(t *testing.T) {
+		for _, policy := range policies {
+			t.Run(fmt.Sprintf("%s/optimize=%d", policy.name, lvl), func(t *testing.T) {
 				plat := newFakeCluster(3)
 				plat.setLoads(9, 0, 0)
-				run(t, plat, policy(), lvl)
+				run(t, plat, policy.new(), lvl)
 				if execs := plat.execSnapshot(); execs[0] != 6 || execs[1]+execs[2] != 0 {
 					t.Fatalf("execs = %v, want all 6 on the star's node 0", execs)
 				}
 				cluster := dist.NewCluster(3, 1)
-				run(t, cluster, policy(), lvl)
+				run(t, cluster, policy.new(), lvl)
 				st := cluster.Stats()
 				if st.Transfers != 0 || st.Execs[0] != 6 {
 					t.Fatalf("dist.Cluster: transfers = %d, execs = %v; want 0 and all 6 on node 0",

@@ -21,14 +21,14 @@ func Split(a *Entity, tag string) *Entity { return splitEnt(a, tag, false, false
 // on exit.
 //
 // Which node a replica lands on is resolved at dispatch time by the
-// placement policy (Options.Placer). The default Static policy keeps the pre-stamped-tag
-// convention — the tag value is the node, modulo the platform's node
-// count. RoundRobin and LeastLoaded make the node a runtime decision; the
-// tag then only identifies the replica. Under a dynamic policy the index
-// tag itself becomes optional: a record arriving without it is dispatched
-// through a fresh single-shot replica on the policy-chosen node — the
-// splitter emits untagged work and the scheduler places it. (With the
-// Static policy an untagged record remains a runtime type error.)
+// placement policy (Options.Placer). The default Static policy keeps the
+// pre-stamped-tag convention — the tag value is the node, modulo the
+// platform's node count. RoundRobin and LeastLoaded make the node a runtime
+// decision; the tag then only identifies the replica. Under a dynamic
+// policy the index tag itself becomes optional: a record arriving without
+// it is dispatched through a fresh single-shot replica on the policy-chosen
+// node — the splitter emits untagged work and the scheduler places it.
+// (With the Static policy an untagged record remains a runtime type error.)
 func SplitAt(a *Entity, tag string) *Entity { return splitEnt(a, tag, true, false) }
 
 // splitEnt implements both Split and SplitAt; placed is false for the
