@@ -53,6 +53,9 @@ func main() {
 	cancel()
 	fmt.Printf("bounded run: %d/1000 results, stopped=%v, deadline=%v\n",
 		len(outs), errors.Is(err, snet.ErrStopped), errors.Is(err, context.DeadlineExceeded))
+	if !errors.Is(err, snet.ErrStopped) || !errors.Is(err, context.DeadlineExceeded) {
+		log.Fatalf("bounded run: %v", err)
+	}
 
 	// 2. A streaming instance aborted mid-flight: feed jobs with Send
 	// (which can never block past a Stop), read a few results, then pull
@@ -72,12 +75,20 @@ func main() {
 			got++
 		}
 	}
-	if err := inst.Stop(); errors.Is(err, snet.ErrStopped) {
-		fmt.Printf("streaming run: %d results consumed, then aborted\n", got)
+	if err := inst.Stop(); !errors.Is(err, snet.ErrStopped) {
+		log.Fatalf("streaming run: %v", err)
 	}
+	fmt.Printf("streaming run: %d results consumed, then aborted\n", got)
 
 	// Give the runtime's last goroutines a beat to be descheduled, then
 	// show that both aborted networks were fully reclaimed.
-	time.Sleep(100 * time.Millisecond)
-	fmt.Printf("goroutines: %d before, %d after\n", before, runtime.NumGoroutine())
+	after := runtime.NumGoroutine()
+	for i := 0; i < 20 && after > before; i++ {
+		time.Sleep(50 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	fmt.Printf("goroutines: %d before, %d after\n", before, after)
+	if after > before {
+		log.Fatal("goroutines leaked")
+	}
 }

@@ -45,7 +45,7 @@ type BoxCall struct {
 	err error
 	// noInherit marks a detached call (CallBox): the emissions leave as the
 	// box's raw output and the process that dispatched the call applies
-	// flow inheritance when they return (see RemotePlatform).
+	// flow inheritance when they return (see Platform.ExecBox).
 	noInherit bool
 	// pendArr seeds pending: most boxes emit a handful of records per
 	// invocation, so the emission buffer lives inline in the call context
@@ -188,8 +188,8 @@ type panicError struct{ val any }
 func (p *panicError) Error() string { return fmt.Sprintf("box panicked: %v", p.val) }
 
 // execute runs one box execution for record r, leaving the emissions in
-// call.pending[call.base:] — matching, platform scheduling (local,
-// cancellable, or remote via RemotePlatform), type checking and flow
+// call.pending[call.base:] — matching, platform scheduling (ExecBox, which
+// may run the body in another process), type checking and flow
 // inheritance, but not delivery. ok is false when the instance was stopped
 // before the body ran (the caller must unwind); matched is false when r
 // matched no input variant (reported, r recycled, nothing pending). On
@@ -214,37 +214,24 @@ func (b *boxImpl) execute(call *BoxCall, run func(), r *record.Record) (matched,
 	call.consumeT = v.TagSyms()
 	call.emitted = 0
 	call.err = nil
-	if env.remPlat != nil {
-		// The platform can ship whole box calls across processes: offer it
-		// the box name and triggering record. When the call does execute
-		// remotely, the returned records are the box's raw emissions — type
-		// checking and flow inheritance are applied here, on the dispatching
-		// side, so remote execution is invisible downstream.
-		outs, remote, ok, err := env.remPlat.ExecBox(env.node, env.done, b.name, r,
-			env.opts.WorkStealing, run)
-		if !ok {
-			call.In = nil
-			call.Matched = nil
-			return false, false
-		}
-		if remote {
-			call.err = err
-			for _, o := range outs {
-				if env.opts.CheckTypes && !b.sig.Out.Accepts(o) {
-					env.reportRT(b.name, ErrCatTypeCheck, o.String(), fmt.Errorf(
-						"emitted record %s does not match output type %s", o, b.sig.Out))
-				}
-				o.InheritFromExcept(r, call.consumeF, call.consumeT)
-			}
-			call.emitted = len(outs)
-			call.pending = append(call.pending, outs...)
-		}
-	} else if !env.exec(r, run) {
+	// The platform may ship the call to another process: when it did, the
+	// returned records are the box's raw emissions, and Emit applies type
+	// checking and flow inheritance to them here, on the dispatching side,
+	// so remote execution is invisible downstream.
+	outs, remote, ok, err := env.platform.ExecBox(env.node, env.done, b.name, r,
+		env.opts.WorkStealing, run)
+	if !ok {
 		// Stopped while queued for a platform CPU slot; the body never
 		// ran. Drop the record (stopped instances do not recycle).
 		call.In = nil
 		call.Matched = nil
 		return false, false
+	}
+	if remote {
+		call.err = err
+		for _, o := range outs {
+			call.Emit(o)
+		}
 	}
 	return true, true
 }
@@ -342,7 +329,7 @@ func finishCall(call *BoxCall, r *record.Record) (reemitted bool) {
 // CallBox runs a box body once against input as a detached execution: no
 // network, no platform slot, and no flow inheritance — this is how a
 // remote worker (internal/wire, cmd/snetd) executes a box call shipped to
-// it by a RemotePlatform, and the dispatching process applies inheritance
+// it by a Platform's ExecBox, and the dispatching process applies inheritance
 // and type checking when the emissions return. The emitted records are
 // returned in emission order and are owned by the caller; input stays the
 // caller's (the body treats it read-only, per the box contract). Matching

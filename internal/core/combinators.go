@@ -543,35 +543,9 @@ func At(a *Entity, node int) *Entity {
 			}
 			innerIn := env.newLink()
 			innerOut := env.newLink()
-			// Both relays move whole batches: one platform transfer and
-			// one link operation per batch, not per record.
-			env.start(func() {
-				defer env.closeLink(innerIn)
-				for {
-					b, ok := in.RecvBatch(env.done)
-					if !ok {
-						return
-					}
-					env.transferBatch(env.node, target, b.Recs)
-					if !innerIn.SendBatch(b, env.done) {
-						return
-					}
-				}
-			})
+			env.start(func() { env.relay(in, innerIn, env.node, target) })
 			a.spawn(env.At(target), innerIn, innerOut)
-			env.start(func() {
-				defer env.closeLink(out)
-				for {
-					b, ok := innerOut.RecvBatch(env.done)
-					if !ok {
-						return
-					}
-					env.transferBatch(target, env.node, b.Recs)
-					if !out.SendBatch(b, env.done) {
-						return
-					}
-				}
-			})
+			env.start(func() { env.relay(innerOut, out, target, env.node) })
 		},
 	}
 }

@@ -33,72 +33,55 @@ import (
 )
 
 // Platform abstracts the compute substrate underneath a network: where box
-// functions execute and what happens when a record crosses between abstract
-// compute nodes. The default LocalPlatform runs everything inline on one
-// node; package dist provides a multi-node platform with bounded per-node
-// CPU slots and transfer accounting.
+// executions run and what happens when a record crosses between abstract
+// compute nodes. It is the runtime's one platform seam. The default
+// LocalPlatform runs everything inline on one node; package dist provides a
+// multi-node platform with bounded per-node CPU slots and transfer
+// accounting, and package wire stretches that across OS processes. A
+// platform that needs only some of the behaviour can embed LocalPlatform
+// for the rest.
 type Platform interface {
 	// Nodes returns the number of abstract compute nodes.
 	Nodes() int
-	// Exec runs a box function on the given node. Exec blocks until fn
-	// has finished; implementations typically gate fn on a per-node CPU
-	// slot.
-	Exec(node int, fn func())
-	// Transfer is called when a record moves from node `from` to node
+	// ExecBox runs one box execution on the given node and blocks until
+	// it has finished. The runtime offers the box's registered name, its
+	// triggering record (only read) and local, the closure that runs the
+	// body in this process. A platform gates the execution on a per-node
+	// CPU slot, abandons the wait when cancel fires, and, when stealable,
+	// may let an idle node claim the queued execution (charging the
+	// migration of input). A platform that can execute a box in another
+	// OS process may ship name and input there and return the records
+	// the box emitted. Outcomes:
+	//
+	//   - ok == false: cancel fired before a slot was granted; nothing ran
+	//     and outs/remote/err are meaningless.
+	//   - ok && !remote: local() ran on the granted slot; outs/err are
+	//     meaningless.
+	//   - ok && remote: the box ran in a remote process; outs are its raw
+	//     emissions (owned by the caller, never aliasing the input) and
+	//     err is its failure, if any. A failed remote call may still carry
+	//     the emissions queued before the failure, matching local
+	//     semantics. The runtime applies output type checking and flow
+	//     inheritance to outs exactly as to a local execution's, so remote
+	//     and local box calls are indistinguishable downstream.
+	//
+	// Once local() has started it runs to completion, cancelled or not.
+	ExecBox(node int, cancel <-chan struct{}, box string, input *record.Record,
+		stealable bool, local func()) (outs []*record.Record, remote, ok bool, err error)
+	// Transfer is called when one record moves from node `from` to node
 	// `to`. Implementations may account for or delay the transfer. It is
 	// never called with from == to.
 	Transfer(from, to int, r *record.Record)
-}
-
-// CancellablePlatform is optionally implemented by platforms whose Exec can
-// abandon waiting for a CPU slot. The runtime uses it when an instance is
-// stopped: a box queued behind a busy node must not strand the stopping
-// network (nor, for bounded platforms such as dist.Cluster, consume a slot
-// it will never use). ExecCancel returns false — without running fn — when
-// cancel fires before a slot was acquired; once fn has started it always
-// runs to completion and the slot is released normally.
-type CancellablePlatform interface {
-	ExecCancel(node int, cancel <-chan struct{}, fn func()) bool
-}
-
-// BatchPlatform is optionally implemented by platforms that can account a
-// whole batch of records crossing between nodes in one operation, so
-// per-message framing and per-hop fixed costs (codec locking, modelled
-// link latency) are amortized over the batch. The runtime uses it whenever
-// a placement relay moves an entire stream batch across a node boundary;
-// platforms without it see the same records as individual Transfer calls.
-// It is never called with from == to or with an empty batch.
-type BatchPlatform interface {
+	// TransferBatch is Transfer for a whole stream batch crossing in one
+	// operation, so per-message framing and per-hop fixed costs (codec
+	// locking, modelled link latency) are amortized over the batch. It is
+	// never called with from == to or with an empty batch.
 	TransferBatch(from, to int, rs []*record.Record)
-}
-
-// RemotePlatform is optionally implemented by platforms that can execute a
-// whole box call in another OS process (internal/wire): a closure cannot
-// cross a socket, so instead of handing the platform an opaque fn the
-// runtime offers the box's registered name and its triggering record, and
-// the platform may ship both to the process that owns the target node and
-// return the records the box emitted there. The returned records are the
-// box's raw emissions — the runtime applies flow inheritance and output
-// type checking on them exactly as it would for a local execution, so
-// remote and local box calls are indistinguishable downstream.
-//
-// ExecBox must schedule like Exec: acquire and release the node's CPU
-// slot, honor cancel like CancellablePlatform.ExecCancel, and — when
-// stealable — migrate like StealPlatform.ExecStealable. Outcomes:
-//
-//   - ok == false: cancel fired before a slot was granted; nothing ran and
-//     outs/remote/err are meaningless.
-//   - ok && !remote: the execution could not be shipped (granted node is
-//     local, box not registered remotely, input has no wire form, peer
-//     lost); the platform ran local() on the granted slot instead, and
-//     outs/err are meaningless.
-//   - ok && remote: the box ran in a remote process; outs are its
-//     emissions (owned by the caller, never aliasing the input) and err is
-//     its failure, if any. A failed remote call may still carry the
-//     emissions queued before the failure, matching local semantics.
-type RemotePlatform interface {
-	ExecBox(node int, cancel <-chan struct{}, box string, input *record.Record,
-		stealable bool, local func()) (outs []*record.Record, remote, ok bool, err error)
+	// Loads appends each node's scheduling load (CPU slots in use plus
+	// queued executions) to dst, a reused scratch slice, for load-aware
+	// placement (LeastLoaded). It returns nil when the platform reports
+	// no load. It must be safe for concurrent use.
+	Loads(dst []int) []int
 }
 
 // LocalPlatform is the trivial single-node platform.
@@ -107,11 +90,21 @@ type LocalPlatform struct{}
 // Nodes returns 1.
 func (LocalPlatform) Nodes() int { return 1 }
 
-// Exec runs fn inline.
-func (LocalPlatform) Exec(node int, fn func()) { fn() }
+// ExecBox runs local inline.
+func (LocalPlatform) ExecBox(_ int, _ <-chan struct{}, _ string, _ *record.Record,
+	_ bool, local func()) ([]*record.Record, bool, bool, error) {
+	local()
+	return nil, false, true, nil
+}
 
 // Transfer does nothing.
 func (LocalPlatform) Transfer(from, to int, r *record.Record) {}
+
+// TransferBatch does nothing.
+func (LocalPlatform) TransferBatch(from, to int, rs []*record.Record) {}
+
+// Loads reports no load.
+func (LocalPlatform) Loads(dst []int) []int { return nil }
 
 // Options configure a network instantiation.
 type Options struct {
@@ -141,8 +134,8 @@ type Options struct {
 	// unfoldings run on the star's node under every policy.
 	Placer Placer
 	// WorkStealing lets a box execution queued on a busy node be claimed
-	// by an idle node, when the platform supports migration
-	// (StealPlatform; dist.Cluster does). The platform charges its
+	// by an idle node, when the platform supports migration (ExecBox's
+	// stealable; dist.Cluster does). The platform charges its
 	// transfer-cost model for the migrated triggering record and counts
 	// the steal. Placement combinators still decide the home node;
 	// stealing only redistributes work the home node has not started.
@@ -177,22 +170,17 @@ const DefaultBufferSize = 32
 // closed when the instance is stopped and a WaitGroup tracking every
 // runtime goroutine, so Stop can wait for full reclamation.
 type Env struct {
-	platform  Platform
-	cancPlat  CancellablePlatform // platform, when it supports cancellation
-	batchPlat BatchPlatform       // platform, when it supports batch transfer
-	stealPlat StealPlatform       // platform, when executions can migrate
-	loadPlat  LoadPlatform        // platform, when it reports per-node load
-	remPlat   RemotePlatform      // platform, when box calls can cross processes
-	placer    Placer              // placement policy; nil = Static semantics
-	node      int
-	opts      Options
-	errs      *errSink
-	done      chan struct{}    // closed by Instance.Stop; nil never happens
-	wg        *sync.WaitGroup  // counts every goroutine started via start
-	links     *linkReg         // every stream link of the instance
-	jnl       *journal.Journal // ingress journal; nil without Durability
-	track     *tracker         // delivery completion tracking; nil without a journal
-	dead      *deadSink        // retry-exhausted records (BoxRetry)
+	platform Platform
+	placer   Placer // placement policy; nil = Static semantics
+	node     int
+	opts     Options
+	errs     *errSink
+	done     chan struct{}    // closed by Instance.Stop; nil never happens
+	wg       *sync.WaitGroup  // counts every goroutine started via start
+	links    *linkReg         // every stream link of the instance
+	jnl      *journal.Journal // ingress journal; nil without Durability
+	track    *tracker         // delivery completion tracking; nil without a journal
+	dead     *deadSink        // retry-exhausted records (BoxRetry)
 }
 
 // newEnv builds the root environment.
@@ -200,8 +188,9 @@ func newEnv(opts Options) *Env {
 	if opts.Platform == nil {
 		opts.Platform = LocalPlatform{}
 	}
-	e := &Env{
+	return &Env{
 		platform: opts.Platform,
+		placer:   opts.Placer,
 		node:     0,
 		opts:     opts,
 		errs:     &errSink{},
@@ -210,13 +199,6 @@ func newEnv(opts Options) *Env {
 		links:    &linkReg{},
 		dead:     &deadSink{},
 	}
-	e.cancPlat, _ = opts.Platform.(CancellablePlatform)
-	e.batchPlat, _ = opts.Platform.(BatchPlatform)
-	e.stealPlat, _ = opts.Platform.(StealPlatform)
-	e.loadPlat, _ = opts.Platform.(LoadPlatform)
-	e.remPlat, _ = opts.Platform.(RemotePlatform)
-	e.placer = opts.Placer
-	return e
 }
 
 // linkReg tracks every stream link an instance creates, so Instance can
@@ -344,14 +326,12 @@ func (e *Env) place(key int, scratch *[]int) int {
 		return ((key % n) + n) % n
 	}
 	var load []int
-	if e.loadPlat != nil {
-		// Skip the snapshot for policies that declare they never read
-		// it: Loads takes the platform's scheduler lock, which per-record
-		// dispatch should not contend for nothing.
-		if _, skip := p.(loadFree); !skip {
-			*scratch = e.loadPlat.Loads(*scratch)
-			load = *scratch
-		}
+	// Skip the snapshot for policies that declare they never read it:
+	// Loads takes the platform's scheduler lock, which per-record dispatch
+	// should not contend for nothing.
+	if _, skip := p.(loadFree); !skip {
+		*scratch = e.platform.Loads(*scratch)
+		load = *scratch
 	}
 	return ((p.Place(key, n, load) % n) + n) % n
 }
@@ -405,23 +385,6 @@ func (e *Env) recv(in *stream.Link) (*record.Record, bool) {
 	return in.Recv(e.done)
 }
 
-// exec runs fn as a box execution on the environment's node, with trigger
-// as the record the execution consumes. When work stealing is enabled and
-// the platform supports migration, a queued execution may be claimed by an
-// idle node (the platform charges the migration of trigger). It reports
-// false — without having run fn — when the instance was stopped while
-// waiting for the platform to grant a CPU slot.
-func (e *Env) exec(trigger *record.Record, fn func()) bool {
-	if e.opts.WorkStealing && e.stealPlat != nil {
-		return e.stealPlat.ExecStealable(e.node, e.done, trigger, fn)
-	}
-	if e.cancPlat != nil {
-		return e.cancPlat.ExecCancel(e.node, e.done, fn)
-	}
-	e.platform.Exec(e.node, fn)
-	return true
-}
-
 // transfer accounts one record moving between nodes; same-node moves are
 // free.
 func (e *Env) transfer(from, to int, r *record.Record) {
@@ -430,20 +393,13 @@ func (e *Env) transfer(from, to int, r *record.Record) {
 	}
 }
 
-// transferBatch accounts a whole batch moving between nodes, in one
-// platform operation when the platform supports it (dist.Cluster sizes the
-// batch against the link codec under a single lock and charges modelled
-// link latency once per batch, not once per record).
+// transferBatch accounts a whole batch moving between nodes in one
+// platform operation (dist.Cluster sizes the batch against the link codec
+// under a single lock and charges modelled link latency once per batch,
+// not once per record); same-node moves are free.
 func (e *Env) transferBatch(from, to int, rs []*record.Record) {
-	if from == to || len(rs) == 0 {
-		return
-	}
-	if e.batchPlat != nil {
-		e.batchPlat.TransferBatch(from, to, rs)
-		return
-	}
-	for _, r := range rs {
-		e.platform.Transfer(from, to, r)
+	if from != to && len(rs) > 0 {
+		e.platform.TransferBatch(from, to, rs)
 	}
 }
 
@@ -742,15 +698,18 @@ func (e *Entity) Describe() string {
 	return string(b)
 }
 
-// pump copies src to dst in whole batches and closes dst when src is
-// exhausted or the instance is stopped.
-func (e *Env) pump(src, dst *stream.Link) {
+// relay copies src to dst in whole batches, accounting each batch as moved
+// from node `from` to node `to` (free when they are equal), and closes dst
+// when src is exhausted or the instance is stopped. One platform transfer
+// and one link operation per batch, not per record.
+func (e *Env) relay(src, dst *stream.Link, from, to int) {
 	defer e.closeLink(dst)
 	for {
 		b, ok := src.RecvBatch(e.done)
 		if !ok {
 			return
 		}
+		e.transferBatch(from, to, b.Recs)
 		if !dst.SendBatch(b, e.done) {
 			return
 		}

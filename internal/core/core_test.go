@@ -333,20 +333,29 @@ func TestSplitSignatureRequiresTag(t *testing.T) {
 	}
 }
 
-// nodeTrackingPlatform records which node each Exec ran on.
+// nodeTrackingPlatform records which node each execution ran on and one
+// move per transferred record.
 type nodeTrackingPlatform struct {
+	LocalPlatform
 	nodes     int
 	execNodes chan int
 	transfers chan [2]int
 }
 
 func (p *nodeTrackingPlatform) Nodes() int { return p.nodes }
-func (p *nodeTrackingPlatform) Exec(node int, fn func()) {
+func (p *nodeTrackingPlatform) ExecBox(node int, _ <-chan struct{}, _ string, _ *record.Record,
+	_ bool, local func()) ([]*record.Record, bool, bool, error) {
 	p.execNodes <- node
-	fn()
+	local()
+	return nil, false, true, nil
 }
 func (p *nodeTrackingPlatform) Transfer(from, to int, r *record.Record) {
 	p.transfers <- [2]int{from, to}
+}
+func (p *nodeTrackingPlatform) TransferBatch(from, to int, rs []*record.Record) {
+	for range rs {
+		p.transfers <- [2]int{from, to}
+	}
 }
 
 func TestAtPlacesExecution(t *testing.T) {

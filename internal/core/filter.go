@@ -211,7 +211,7 @@ func Identity() *Entity {
 		sig:  rtype.NewSignature(empty, empty),
 		kind: kindIdentity,
 		spawn: func(env *Env, in, out *stream.Link) {
-			env.start(func() { env.pump(in, out) })
+			env.start(func() { env.relay(in, out, env.node, env.node) })
 		},
 	}
 }

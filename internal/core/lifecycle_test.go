@@ -113,6 +113,44 @@ func TestStopDuringBoxExecution(t *testing.T) {
 	}
 }
 
+// heldPlatform never grants a CPU slot: its ExecBox reports each queued
+// execution and returns ok=false, without running the body, only once
+// cancel fires.
+type heldPlatform struct {
+	LocalPlatform
+	queued chan struct{}
+}
+
+func (p *heldPlatform) ExecBox(_ int, cancel <-chan struct{}, _ string, _ *record.Record,
+	_ bool, _ func()) ([]*record.Record, bool, bool, error) {
+	p.queued <- struct{}{}
+	<-cancel
+	return nil, false, false, nil
+}
+
+// TestStopCancelsQueuedExecBox pins cancellation at the platform seam: a
+// box execution queued on a platform that never grants a slot is abandoned
+// by Stop, whose done channel is the cancel every ExecBox call receives.
+func TestStopCancelsQueuedExecBox(t *testing.T) {
+	leakcheck.Check(t)
+	plat := &heldPlatform{queued: make(chan struct{}, 1)}
+	sig := MustSig([]rtype.Label{rtype.F("x")}, []rtype.Label{rtype.F("x")})
+	box := NewBox("held", sig, func(c *BoxCall) error {
+		t.Error("box body ran on a platform that granted no slot")
+		return nil
+	})
+	inst := NewNetwork(box, Options{Platform: plat}).Start()
+	if !inst.Send(record.New().SetField("x", 0)) {
+		t.Fatal("Send refused")
+	}
+	<-plat.queued
+	withTimeout(t, 5*time.Second, "Stop with an execution queued for a slot", func() {
+		if err := inst.Stop(); !errors.Is(err, ErrStopped) {
+			t.Errorf("Stop = %v, want ErrStopped", err)
+		}
+	})
+}
+
 func TestStopWithBlockedConsumer(t *testing.T) {
 	leakcheck.Check(t)
 	inst := NewNetwork(incBox("inc", 1), Options{}).Start()

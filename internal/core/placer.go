@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"snet/internal/record"
-)
+import "sync/atomic"
 
 // Placer decides which compute node a dynamically placed dispatch unit — an
 // indexed-split replica or an untagged record of A!@<tag> — runs on.
@@ -16,7 +12,7 @@ import (
 //
 // Place is called with the dispatch key (a split tag value or an untagged
 // dispatch sequence number), the platform's node count, and — when the
-// platform reports it (LoadPlatform) — a per-node load snapshot. It must be
+// platform reports it (Platform.Loads) — a per-node load snapshot. It must be
 // safe for concurrent use: one Placer instance serves every dynamic
 // placement site of a network instance.
 type Placer interface {
@@ -82,27 +78,4 @@ func (p *LeastLoaded) Place(_, nodes int, load []int) int {
 		}
 	}
 	return best
-}
-
-// LoadPlatform is optionally implemented by platforms that can report
-// per-node scheduling load: CPU slots in use plus executions queued for
-// them. Load-aware placement policies (LeastLoaded) consult it at dispatch
-// time; dist.Cluster implements it. Loads appends one entry per node into
-// dst — callers pass a reused scratch slice — and must be safe for
-// concurrent use.
-type LoadPlatform interface {
-	Loads(dst []int) []int
-}
-
-// StealPlatform is optionally implemented by platforms whose queued
-// executions may migrate: ExecStealable is ExecCancel, except that while
-// the execution waits for its home node's CPU slot, another node that runs
-// out of local work may claim it. input is the execution's triggering
-// record — the data that would travel with the work — which the platform
-// sizes and charges its transfer-cost model for when a steal occurs; it is
-// only read. dist.Cluster implements it (counting Stats.Steals and
-// Stats.Migrated). The runtime uses it for every box execution when
-// Options.WorkStealing is set.
-type StealPlatform interface {
-	ExecStealable(node int, cancel <-chan struct{}, input *record.Record, fn func()) bool
 }

@@ -19,6 +19,7 @@ import (
 // records which node every execution ran on. Loads returns a caller-set
 // snapshot, so tests can steer LeastLoaded deterministically.
 type fakeCluster struct {
+	LocalPlatform
 	nodes int
 
 	mu    sync.Mutex
@@ -32,14 +33,14 @@ func newFakeCluster(nodes int) *fakeCluster {
 
 func (f *fakeCluster) Nodes() int { return f.nodes }
 
-func (f *fakeCluster) Exec(node int, fn func()) {
+func (f *fakeCluster) ExecBox(node int, _ <-chan struct{}, _ string, _ *record.Record,
+	_ bool, local func()) ([]*record.Record, bool, bool, error) {
 	f.mu.Lock()
 	f.execs[node]++
 	f.mu.Unlock()
-	fn()
+	local()
+	return nil, false, true, nil
 }
-
-func (f *fakeCluster) Transfer(from, to int, r *record.Record) {}
 
 func (f *fakeCluster) Loads(dst []int) []int {
 	f.mu.Lock()

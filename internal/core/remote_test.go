@@ -60,7 +60,7 @@ func TestCallBoxPanic(t *testing.T) {
 	}
 }
 
-// fakeRemote implements RemotePlatform by running registered boxes through
+// fakeRemote implements Platform.ExecBox by running registered boxes through
 // CallBox in-process — the worker side of the wire protocol without the
 // wire. Boxes not in the table fall back to local().
 type fakeRemote struct {

@@ -255,19 +255,7 @@ func (s *splitter) output(node int) *stream.Link {
 		return s.out
 	}
 	instOut := env.newLink()
-	env.start(func() {
-		defer env.closeLink(s.out)
-		for {
-			b, ok := instOut.RecvBatch(env.done)
-			if !ok {
-				return
-			}
-			env.transferBatch(node, env.node, b.Recs)
-			if !s.out.SendBatch(b, env.done) {
-				return
-			}
-		}
-	})
+	env.start(func() { env.relay(instOut, s.out, node, env.node) })
 	return instOut
 }
 

@@ -5,7 +5,7 @@
 // resource model those annotations are measured against.
 //
 // A Cluster has a fixed number of nodes, each with a bounded number of CPU
-// slots. Box executions dispatched to a node (core.Platform.Exec) are gated
+// slots. Box executions dispatched to a node (core.Platform.ExecBox) are gated
 // on the node's slots, so at most cpusPerNode box calls run concurrently per
 // node — the "two solvers per dual-core node" regime of the paper's
 // Section V becomes an enforced bound rather than a convention. Every record
@@ -17,16 +17,16 @@
 // # Scheduling and work stealing
 //
 // Each node keeps a FIFO deque of executions waiting for one of its CPU
-// slots. Exec and ExecCancel queue strictly on their home node — the
-// static regime of the paper, where placement fixed at split time leaves a
-// skewed workload queued behind one node's CPUs. ExecStealable relaxes it:
-// a queued execution may be claimed by another node that runs out of local
-// work, which models migrating the triggering input record across the
-// interconnect — the steal is counted (Stats.Steals, Stats.Migrated), the
-// input is byte-sized against the donor→thief link codec, and the
-// configured transfer-cost model is charged for the move. Loads exposes the
-// per-node slot occupancy plus queue depth that load-aware placement
-// policies (core.LeastLoaded) feed on.
+// slots. Exec and a non-stealable ExecBox queue strictly on their home node
+// — the static regime of the paper, where placement fixed at split time
+// leaves a skewed workload queued behind one node's CPUs. A stealable
+// ExecBox relaxes it: a queued execution may be claimed by another node
+// that runs out of local work, which models migrating the triggering input
+// record across the interconnect — the steal is counted (Stats.Steals,
+// Stats.Migrated), the input is byte-sized against the donor→thief link
+// codec, and the configured transfer-cost model is charged for the move.
+// Loads exposes the per-node slot occupancy plus queue depth that
+// load-aware placement policies (core.LeastLoaded) feed on.
 //
 // An optional transfer-cost model (SetTransferCost) charges a per-hop
 // latency plus a bandwidth-proportional delay for every cross-node record,
@@ -66,7 +66,7 @@ type Stats struct {
 	// and the inputs of stolen executions are included.
 	Bytes int64
 	// Steals counts executions queued on one node but claimed and run by
-	// another (ExecStealable only; Exec and ExecCancel never migrate).
+	// another (stealable executions only; Exec never migrates).
 	Steals int64
 	// Migrated counts the input records that crossed nodes because their
 	// execution was stolen. Each such record is byte-sized against the
@@ -79,12 +79,11 @@ type Stats struct {
 
 // Cluster is an abstract multi-node compute platform: bounded CPU slots per
 // node, per-node work queues with optional cross-node stealing, and
-// transfer accounting. It implements core.Platform (plus the optional
-// CancellablePlatform, BatchPlatform, StealPlatform and LoadPlatform
-// contracts). All methods are safe for concurrent use; a Cluster may be
-// shared between consecutive network runs (the counters then accumulate)
-// and between an S-Net network and an MPI program competing for the same
-// resources.
+// transfer accounting. It implements core.Platform, running every box
+// execution in this process. All methods are safe for concurrent use; a
+// Cluster may be shared between consecutive network runs (the counters then
+// accumulate) and between an S-Net network and an MPI program competing for
+// the same resources.
 type Cluster struct {
 	cpus    int
 	execs   []atomic.Int64
@@ -304,51 +303,29 @@ func (c *Cluster) run(n int, fn func()) {
 }
 
 // Exec runs fn as one box execution on the given node, blocking until a CPU
-// slot is free and until fn has returned. This is the Platform contract: box
-// calls on a fully busy node queue behind the node's CPUs.
+// slot is free and until fn has returned: box calls on a fully busy node
+// queue behind the node's CPUs. It never migrates and cannot be cancelled.
 func (c *Cluster) Exec(node int, fn func()) {
-	n := c.node(node)
-	got, _ := c.acquire(n, nil, false)
-	c.run(got, fn)
+	c.ExecOn(node, nil, nil, false, func(int) { fn() })
 }
 
-// ExecCancel is Exec with an abort path (core.CancellablePlatform): when
-// cancel fires before a CPU slot has been granted, the wait is abandoned
-// and ExecCancel returns false without running fn, so a stopped network
-// never strands queued work on — or leaks slots of — a shared cluster. An
-// execution that has already acquired its slot runs to completion and
-// releases the slot normally, cancelled or not. A nil cancel never fires.
-func (c *Cluster) ExecCancel(node int, cancel <-chan struct{}, fn func()) bool {
-	n := c.node(node)
-	got, ok := c.acquire(n, cancel, false)
-	if !ok {
-		return false
-	}
-	c.run(got, fn)
-	return true
-}
-
-// ExecStealable is ExecCancel for migratable work (core.StealPlatform): the
-// execution queues on its home node like any other, but while it waits, a
-// node that runs out of local work may claim it. A stolen execution runs on
-// the thief's CPU slot; the steal is counted in Stats.Steals, and the input
-// record — the box's triggering record, which would travel with the work in
-// a distributed installation — is counted in Stats.Migrated, byte-sized
-// against the home→thief link codec, and charged the configured
-// transfer-cost model before fn runs. A nil input migrates free of size
-// (the per-hop latency is still charged). Like ExecCancel it returns false
-// without running fn when cancel fires before any slot was granted.
-func (c *Cluster) ExecStealable(node int, cancel <-chan struct{}, input *record.Record, fn func()) bool {
-	n := c.node(node)
-	got, ok := c.acquire(n, cancel, true)
-	if !ok {
-		return false
-	}
-	if got != n {
-		c.accountSteal(n, got, input)
-	}
-	c.run(got, fn)
-	return true
+// ExecBox implements core.Platform. Every execution runs in this process:
+// local runs on the granted CPU slot, so remote is always false. When
+// cancel fires before a slot has been granted, the wait is abandoned and ok
+// is false without local having run, so a stopped network never strands
+// queued work on — or leaks slots of — a shared cluster; an execution that
+// has acquired its slot runs to completion and releases it normally. A nil
+// cancel never fires. A stealable execution queues on its home node like
+// any other, but while it waits, a node that runs out of local work may
+// claim it: it then runs on the thief's slot, the steal is counted in
+// Stats.Steals, and input — the triggering record, which would travel with
+// the work in a distributed installation — is counted in Stats.Migrated,
+// byte-sized against the home→thief link codec, and charged the configured
+// transfer-cost model before local runs. A nil input migrates free of size
+// (the per-hop latency is still charged).
+func (c *Cluster) ExecBox(node int, cancel <-chan struct{}, _ string, input *record.Record,
+	stealable bool, local func()) ([]*record.Record, bool, bool, error) {
+	return nil, false, c.ExecOn(node, cancel, input, stealable, func(int) { local() }), nil
 }
 
 // accountSteal charges one stolen execution: the steal is counted, and the
@@ -368,32 +345,25 @@ func (c *Cluster) accountSteal(home, thief int, input *record.Record) {
 	c.chargeCost(size)
 }
 
-// ExecOn is the scheduling hook for transports layered above this
-// in-process model (internal/wire): it schedules exactly like Exec /
-// ExecCancel / ExecStealable — same home-node FIFO, same cancellation
-// semantics, same dispatch-time and release-time stealing with identical
-// Steals/Migrated/link accounting — but hands fn the node whose CPU slot
-// was granted, so the caller can route the execution to the OS process
-// that owns the slot. fn runs holding the granted node's slot, with busy
-// time and the execution counted against that node; the slot is released
-// when fn returns. Like ExecCancel it returns false without running fn
-// when cancel fires before any slot was granted.
+// ExecOn is the one scheduling path under Exec and ExecBox, and the hook
+// for transports layered above this in-process model (internal/wire): it
+// schedules on the home-node FIFO with ExecBox's cancellation and stealing
+// semantics, but hands fn the node whose CPU slot was granted, so the
+// caller can route the execution to the OS process that owns the slot. fn
+// runs holding the granted node's slot, with busy time and the execution
+// counted against that node; the slot is released when fn returns. It
+// returns false without running fn when cancel fires before any slot was
+// granted.
 func (c *Cluster) ExecOn(node int, cancel <-chan struct{}, input *record.Record, stealable bool, fn func(granted int)) bool {
 	n := c.node(node)
 	got, ok := c.acquire(n, cancel, stealable)
 	if !ok {
 		return false
 	}
-	if stealable && got != n {
+	if got != n {
 		c.accountSteal(n, got, input)
 	}
-	start := time.Now()
-	defer func() {
-		c.busy[got].Add(int64(time.Since(start)))
-		c.execs[got].Add(1)
-		c.releaseSlot(got)
-	}()
-	fn(got)
+	c.run(got, func() { fn(got) })
 	return true
 }
 
@@ -432,7 +402,7 @@ func (c *Cluster) Transfer(from, to int, r *record.Record) {
 }
 
 // TransferBatch accounts a whole stream batch crossing from node `from` to
-// node `to` as one wire message (core.BatchPlatform): the records share a
+// node `to` as one wire message: the records share a
 // single message frame and one codec-lock acquisition
 // (Codec.AccountBatch), every record still counts as one hop in Transfers,
 // and — when a transfer cost is configured — the modelled per-hop latency

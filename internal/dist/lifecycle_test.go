@@ -12,9 +12,6 @@ import (
 	"snet/internal/rtype"
 )
 
-// The cluster must satisfy the runtime's cancellation contract.
-var _ core.CancellablePlatform = (*dist.Cluster)(nil)
-
 func TestExecCancelAbandonsSlotWait(t *testing.T) {
 	c := dist.NewCluster(1, 1)
 	// Occupy the node's only slot.
@@ -28,20 +25,20 @@ func TestExecCancelAbandonsSlotWait(t *testing.T) {
 
 	cancel := make(chan struct{})
 	ret := make(chan bool, 1)
-	go func() { ret <- c.ExecCancel(0, cancel, func() { t.Error("fn ran after cancel") }) }()
+	go func() { ret <- execCancel(c, 0, cancel, func() { t.Error("fn ran after cancel") }) }()
 	select {
 	case <-ret:
-		t.Fatal("ExecCancel returned while the slot was still busy")
+		t.Fatal("cancellable ExecBox returned while the slot was still busy")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(cancel)
 	select {
 	case ok := <-ret:
 		if ok {
-			t.Fatal("ExecCancel reported true after cancellation")
+			t.Fatal("cancellable ExecBox reported ok after cancellation")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ExecCancel did not honor cancellation")
+		t.Fatal("cancellable ExecBox did not honor cancellation")
 	}
 	close(release)
 
@@ -52,7 +49,7 @@ func TestExecCancelAbandonsSlotWait(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("slot stranded after cancelled ExecCancel")
+		t.Fatal("slot stranded after a cancelled ExecBox")
 	}
 }
 
@@ -72,7 +69,7 @@ func TestStopReleasesClusterCapacity(t *testing.T) {
 	})
 	inst := core.NewNetwork(blocking, core.Options{Platform: cluster}).Start()
 	// First record holds the node's only CPU; the rest queue behind it,
-	// some of them inside ExecCancel waiting for the slot.
+	// some of them inside ExecBox waiting for the slot.
 	for i := 0; i < 4; i++ {
 		if !inst.Send(record.New().SetField("x", i)) {
 			t.Fatal("Send refused")
@@ -82,7 +79,7 @@ func TestStopReleasesClusterCapacity(t *testing.T) {
 
 	stopRet := make(chan error, 1)
 	go func() { stopRet <- inst.Stop() }()
-	// Let Stop cancel the queued ExecCancel waiters, then release the
+	// Let Stop cancel the queued ExecBox waiters, then release the
 	// one execution actually holding the slot.
 	time.Sleep(20 * time.Millisecond)
 	close(release)

@@ -2,7 +2,7 @@ package dist_test
 
 // Work-stealing coverage of the cluster's slot scheduler: dispatch-time
 // and release-time steals, home preference, migration accounting, the
-// Loads surface, the concurrent ExecStealable/ExecCancel race, and
+// Loads surface, the concurrent stealable/non-stealable cancel race, and
 // deterministic-combinator order preservation under load-aware placement
 // with stealing enabled.
 
@@ -19,11 +19,19 @@ import (
 	"snet/internal/rtype"
 )
 
-// The cluster must satisfy the runtime's stealing and load contracts.
-var (
-	_ core.StealPlatform = (*dist.Cluster)(nil)
-	_ core.LoadPlatform  = (*dist.Cluster)(nil)
-)
+// execCancel runs fn as a cancellable, non-stealable box execution on
+// node (ExecBox with a local body), reporting whether fn ran.
+func execCancel(c *dist.Cluster, node int, cancel <-chan struct{}, fn func()) bool {
+	_, _, ok, _ := c.ExecBox(node, cancel, "", nil, false, fn)
+	return ok
+}
+
+// execStealable is execCancel for a stealable execution whose triggering
+// record is input.
+func execStealable(c *dist.Cluster, node int, cancel <-chan struct{}, input *record.Record, fn func()) bool {
+	_, _, ok, _ := c.ExecBox(node, cancel, "", input, true, fn)
+	return ok
+}
 
 // occupy grabs one CPU slot of the node and holds it until release is
 // closed, returning once the slot is held.
@@ -38,7 +46,7 @@ func occupy(c *dist.Cluster, node int, release <-chan struct{}) {
 
 func TestExecStealablePrefersHomeNode(t *testing.T) {
 	c := dist.NewCluster(2, 1)
-	c.ExecStealable(0, nil, record.New().SetTag("x", 1), func() {})
+	execStealable(c, 0, nil, record.New().SetTag("x", 1), func() {})
 	// Where an execution ran is visible in the per-node exec counts.
 	if s := c.Stats(); s.Execs[0] != 1 || s.Steals != 0 {
 		t.Fatalf("execs=%v steals=%d; want the execution on its idle home node", s.Execs, s.Steals)
@@ -54,7 +62,7 @@ func TestExecStealableMigratesToIdleNodeAtDispatch(t *testing.T) {
 	// Home node 0 is saturated; node 1 idles. The stealable execution
 	// must claim node 1 immediately instead of queueing behind node 0.
 	done := make(chan struct{})
-	go c.ExecStealable(0, nil, record.New().SetTag("x", 7).SetField("f", "payload"), func() { close(done) })
+	go execStealable(c, 0, nil, record.New().SetTag("x", 7).SetField("f", "payload"), func() { close(done) })
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -86,7 +94,7 @@ func TestExecStealableClaimedWhenRemoteSlotFrees(t *testing.T) {
 
 	// Both nodes busy: the stealable execution queues on node 0.
 	done := make(chan struct{})
-	go c.ExecStealable(0, nil, record.New().SetTag("x", 1), func() { close(done) })
+	go execStealable(c, 0, nil, record.New().SetTag("x", 1), func() { close(done) })
 	select {
 	case <-done:
 		t.Fatal("execution ran while every slot was busy")
@@ -109,7 +117,7 @@ func TestExecStealableNilInputMigratesFree(t *testing.T) {
 	release := make(chan struct{})
 	occupy(c, 0, release)
 	defer close(release)
-	ok := c.ExecStealable(0, nil, nil, func() {})
+	ok := execStealable(c, 0, nil, nil, func() {})
 	s := c.Stats()
 	if !ok || s.Steals != 1 || s.Migrated != 0 || s.Bytes != 0 || s.Transfers != 0 {
 		t.Fatalf("ok=%v steals=%d migrated=%d bytes=%d transfers=%d; want a free steal",
@@ -128,7 +136,7 @@ func TestLoadsReportsSlotsAndQueue(t *testing.T) {
 	// load to slot-in-use + one queued.
 	queued := make(chan bool, 1)
 	cancel := make(chan struct{})
-	go func() { queued <- c.ExecCancel(0, cancel, func() {}) }()
+	go func() { queued <- execCancel(c, 0, cancel, func() {}) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		loads := c.Loads(nil)
@@ -172,9 +180,9 @@ func TestExecStealableCancelRace(t *testing.T) {
 				}
 				fn := func() { ran.Add(1); time.Sleep(10 * time.Microsecond) }
 				if i%2 == 0 {
-					c.ExecStealable(g%3, cancel, rec, fn)
+					execStealable(c, g%3, cancel, rec, fn)
 				} else {
-					c.ExecCancel(g%3, cancel, fn)
+					execCancel(c, g%3, cancel, fn)
 				}
 			}
 		}(g)

@@ -32,7 +32,7 @@ func TestExecOnStealsLikeExecStealable(t *testing.T) {
 	c := NewCluster(2, 1)
 	// Saturate node 0, then dispatch stealable work homed there: the
 	// dispatch-time steal must claim node 1's idle slot, report it to fn,
-	// and account the migrated input exactly like ExecStealable.
+	// and account the migrated input exactly like a stealable ExecBox.
 	block := make(chan struct{})
 	started := make(chan struct{})
 	go c.Exec(0, func() { close(started); <-block })

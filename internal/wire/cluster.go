@@ -148,8 +148,7 @@ type WireStats struct {
 	LiveWorkers int
 }
 
-// Cluster is the coordinator's platform: core.Platform plus the optional
-// Cancellable/Batch/Steal/Load/Remote contracts, backed by one TCP
+// Cluster is the coordinator's platform: a core.Platform backed by one TCP
 // connection per worker. Create with Listen, wait for the fleet with
 // WaitReady, hand it to the runtime via core.Options.Platform (or
 // snet.Options.Platform), and Close when done — Close performs the
@@ -755,21 +754,6 @@ func (c *Cluster) peerAt(n int) *peer {
 // Nodes implements core.Platform.
 func (c *Cluster) Nodes() int { return c.model.Nodes() }
 
-// Exec implements core.Platform: opaque closures cannot ship, so they run
-// in-process gated on the model's slot for the node — semantically the
-// in-process platform. Box calls route through ExecBox instead.
-func (c *Cluster) Exec(node int, fn func()) { c.model.Exec(node, fn) }
-
-// ExecCancel implements core.CancellablePlatform (in-process; see Exec).
-func (c *Cluster) ExecCancel(node int, cancel <-chan struct{}, fn func()) bool {
-	return c.model.ExecCancel(node, cancel, fn)
-}
-
-// ExecStealable implements core.StealPlatform (in-process; see Exec).
-func (c *Cluster) ExecStealable(node int, cancel <-chan struct{}, input *record.Record, fn func()) bool {
-	return c.model.ExecStealable(node, cancel, input, fn)
-}
-
 // Transfer implements core.Platform: the model accounts the hop, and when
 // the destination node lives in a worker process the record is mirrored
 // there as a RECORD-BATCH frame, so the link's label negotiation and byte
@@ -779,7 +763,7 @@ func (c *Cluster) Transfer(from, to int, r *record.Record) {
 	c.mirror(from, to, []*record.Record{r})
 }
 
-// TransferBatch implements core.BatchPlatform (see Transfer).
+// TransferBatch implements core.Platform (see Transfer).
 func (c *Cluster) TransferBatch(from, to int, rs []*record.Record) {
 	c.model.TransferBatch(from, to, rs)
 	c.mirror(from, to, rs)
@@ -826,7 +810,7 @@ func (c *Cluster) mirror(from, to int, rs []*record.Record) {
 	}
 }
 
-// Loads implements core.LoadPlatform: the model's slot ledger, which counts
+// Loads implements core.Platform: the model's slot ledger, which counts
 // every execution it granted — remote ones included, for as long as their
 // call is outstanding. Nodes whose worker is unavailable — dead connection, or quarantined — are reported
 // as saturated, so load-aware placement and steal scans route around
@@ -843,7 +827,7 @@ func (c *Cluster) Loads(dst []int) []int {
 	return dst
 }
 
-// ExecBox implements core.RemotePlatform: the model grants a slot (with
+// ExecBox implements core.Platform: the model grants a slot (with
 // cancellation and stealing exactly as in-process), and when the granted
 // node lives in a worker process that registered the box — and the input
 // has a wire form — the call ships as an EXEC (or STEAL-GRANT, when the

@@ -13,6 +13,9 @@ import (
 	"snet/internal/record"
 )
 
+// The coordinator must satisfy the runtime's platform contract.
+var _ core.Platform = (*Cluster)(nil)
+
 // testFleet runs a coordinator and n in-process Workers over real
 // loopback TCP — every frame, codec negotiation, and goroutine is the
 // production path; only the process boundary is folded away.

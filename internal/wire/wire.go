@@ -23,7 +23,7 @@
 // the execution runs in-process on the granted slot exactly as before.
 //
 // Box closures cannot cross a socket, so remote execution rides the
-// core.RemotePlatform contract: the runtime offers the box's name and
+// core.Platform.ExecBox contract: the runtime offers the box's name and
 // triggering record, the worker executes its registered body via
 // core.CallBox (no flow inheritance), and the coordinator applies
 // inheritance and type checking to the returned emissions — remote and

@@ -169,27 +169,13 @@ type (
 	// counts before/after and per-rewrite tallies — as returned by
 	// Network.OptStats and Instance.OptStats next to LinkStats.
 	OptStats = core.OptStats
-	// Platform abstracts the compute substrate (see dist.Cluster).
+	// Platform abstracts the compute substrate (see dist.Cluster): where
+	// box executions run (ExecBox, with cancellation, work stealing and
+	// execution in another process), what a record crossing nodes costs
+	// (Transfer, TransferBatch), and per-node load for LeastLoaded
+	// (Loads). It is the one platform interface; embed LocalPlatform for
+	// the methods a platform does not need.
 	Platform = core.Platform
-	// CancellablePlatform is optionally implemented by platforms whose
-	// Exec can abandon a pending CPU-slot wait when an instance is
-	// stopped; dist.Cluster implements it.
-	CancellablePlatform = core.CancellablePlatform
-	// BatchPlatform is optionally implemented by platforms that can
-	// account a whole batch of records crossing between nodes as one wire
-	// message; dist.Cluster implements it (see Cluster.TransferBatch).
-	BatchPlatform = core.BatchPlatform
-	// StealPlatform is optionally implemented by platforms whose queued
-	// box executions may be claimed by an idle node (work stealing, see
-	// Options.WorkStealing); dist.Cluster implements it, charging its
-	// transfer-cost model for each migrated triggering record and
-	// counting ClusterStats.Steals / ClusterStats.Migrated.
-	StealPlatform = core.StealPlatform
-	// LoadPlatform is optionally implemented by platforms that report
-	// per-node scheduling load (CPU slots in use plus queued executions);
-	// the LeastLoaded placement policy consults it at dispatch time.
-	// dist.Cluster implements it.
-	LoadPlatform = core.LoadPlatform
 	// Placer is a placement policy: it decides, at dispatch time, which
 	// compute node a dynamically placed unit of work — an indexed-split
 	// replica or an untagged record under SplitAt — runs on. A star's
@@ -202,7 +188,7 @@ type (
 	// RoundRobin cycles dispatch units over the nodes regardless of key.
 	RoundRobin = core.RoundRobin
 	// LeastLoaded places each dispatch unit on the node with the smallest
-	// current load (LoadPlatform), falling back to round-robin.
+	// current load (Platform.Loads), falling back to round-robin.
 	LeastLoaded = core.LeastLoaded
 	// LocalPlatform is the trivial single-node platform.
 	LocalPlatform = core.LocalPlatform
