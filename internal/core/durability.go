@@ -18,7 +18,10 @@ import (
 // letter). After a crash, a fresh instance over the same directory replays
 // the unacknowledged records with Instance.Recover.
 type Durability struct {
-	// Dir is the journal directory. Required.
+	// Dir is the journal directory. Required. A directory belongs to one
+	// open Instance at a time: a second instance opened on a live
+	// directory recovers the first one's in-flight records and assigns
+	// the same delivery ids the first assigns next.
 	Dir string
 	// Fsync is the flush-to-stable-storage policy; the zero value
 	// (FsyncNever) trusts the OS page cache.

@@ -448,12 +448,24 @@ func appendValue(buf []byte, label string, v any) ([]byte, error) {
 func (c *Codec) Marshal(r *record.Record) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.appendMessage(make([]byte, 0, 64), r)
+}
+
+// AppendMarshal is Marshal appending the message to buf, so a caller that
+// frames the message (the journal) encodes straight into its own buffer.
+func (c *Codec) AppendMarshal(buf []byte, r *record.Record) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.appendMessage(buf, r)
+}
+
+// appendMessage appends one single-record message to buf. Callers hold
+// c.mu.
+func (c *Codec) appendMessage(buf []byte, r *record.Record) ([]byte, error) {
 	if err := c.checkMarshalable(r); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 64)
-	buf = append(buf, codecVersion)
-	return c.appendRecord(buf, r)
+	return c.appendRecord(append(buf, codecVersion), r)
 }
 
 // MarshalBatch encodes a whole stream batch as one wire message in exactly

@@ -24,6 +24,20 @@
 // its segment: a torn tail from a crash mid-write costs the torn frame
 // only, never the segment.
 //
+// # Replay
+//
+// Open decodes only what it returns. A first pass checks every frame's
+// length and CRC, collects the acks and takes NextID from the accept
+// headers; a second decodes each segment's accepts up to the last one not
+// yet acked (earlier ones too, for the labels they define inline), so a
+// segment whose accepts are all acked costs a CRC pass and no decoding.
+// An ack covers the accepts of its id that precede it. A CRC-valid accept
+// whose record bytes fail to decode is a codec-session break: it counts as
+// torn and ends its segment's accepts where replay decodes it, while
+// frames replay does not need are checked by length and CRC only. Acks
+// that passed their CRC stay honoured; they can only drop an accept that
+// was completed, never lose one that was not.
+//
 // Segments rotate at Config.SegmentBytes; a sealed segment whose accepts
 // are all acked is deleted (truncation), so steady-state disk usage is
 // bounded by the in-flight window, not history.
@@ -161,6 +175,8 @@ type Journal struct {
 // id, tolerating a torn tail per segment — deletes fully-acked sealed
 // segments, and starts a fresh segment for this session's appends.
 // Recovered entries are available from Recovered until the next Open.
+// Replay decodes only the records it returns and the ones before them in
+// their segment (see Replay in the package doc).
 func Open(cfg Config) (*Journal, error) {
 	if cfg.FS == nil {
 		if cfg.Dir == "" {
@@ -179,10 +195,10 @@ func Open(cfg Config) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: list segments: %w", err)
 	}
-	acked := map[uint64]struct{}{}
-	var order []uint64 // accept order across segments
-	byID := map[uint64]Entry{}
-	for _, name := range names {
+	acked := map[uint64]int{} // delivery id -> frame ordinal of its last ack
+	prefixes := make([][]byte, len(names))
+	ord := 0
+	for si, name := range names {
 		if n, ok := segIndex(name); ok && n >= j.nextSeg {
 			j.nextSeg = n + 1
 		}
@@ -190,32 +206,16 @@ func Open(cfg Config) (*Journal, error) {
 		if err != nil {
 			return nil, fmt.Errorf("journal: read %s: %w", name, err)
 		}
-		st := segState{name: name, unacked: map[uint64]struct{}{}}
-		j.segs = append(j.segs, st)
-		si := len(j.segs) - 1
-		dec := dist.NewCodec()
-		if cfg.Ext != nil {
-			dec.SetValueCodec(cfg.Ext)
-		}
-		j.replaySegment(si, data, dec, byID, &order, acked)
+		j.segs = append(j.segs, segState{name: name, unacked: map[uint64]struct{}{}})
+		prefixes[si] = j.scanSegment(data, &ord, acked)
 	}
-	// The unacked set in accept order is what the caller replays.
-	for _, id := range order {
-		if _, ok := acked[id]; ok {
-			continue
-		}
-		j.recovered = append(j.recovered, byID[id])
+	ord = 0
+	for si, prefix := range prefixes {
+		j.recoverSegment(si, prefix, &ord, acked)
 	}
 	j.stats.Recovered = len(j.recovered)
-	// Drop acked ids from the per-segment sets, then truncate sealed
-	// segments left empty (every segment is sealed at this point — the
-	// session's own segment is created below).
-	for id := range acked {
-		if si, ok := j.segOf[id]; ok {
-			delete(j.segs[si].unacked, id)
-			delete(j.segOf, id)
-		}
-	}
+	// Every segment is sealed at this point (the session's own segment is
+	// created below), so any whose accepts are all acked is truncated.
 	j.truncate()
 	if err := j.rotate(); err != nil {
 		return nil, err
@@ -224,74 +224,109 @@ func Open(cfg Config) (*Journal, error) {
 	return j, nil
 }
 
-// replaySegment scans one segment's frames, stopping at the first torn or
-// corrupt frame (counted, not fatal).
-func (j *Journal) replaySegment(si int, data []byte, dec *dist.Codec,
-	byID map[uint64]Entry, order *[]uint64, acked map[uint64]struct{}) {
-	for len(data) > 0 {
-		if len(data) < frameHeader {
+// scanSegment is replay's first pass over one segment: it checks each
+// frame's length, CRC and entry header, records every ack under its
+// frame ordinal (counted across segments from *ord) and advances NextID
+// past every accept. It returns the readable prefix, which ends at the
+// first torn or corrupt frame (counted, not fatal).
+func (j *Journal) scanSegment(data []byte, ord *int, acked map[uint64]int) []byte {
+	rest := data
+	for len(rest) > 0 {
+		p, next, ok := splitFrame(rest)
+		if !ok || crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(rest[4:]) || !wellFormed(p) {
 			j.stats.Torn++
-			return
+			break
 		}
-		n := binary.LittleEndian.Uint32(data)
-		sum := binary.LittleEndian.Uint32(data[4:])
-		if n == 0 || n > maxFrame || int(n) > len(data)-frameHeader {
-			j.stats.Torn++
-			return
-		}
-		payload := data[frameHeader : frameHeader+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			j.stats.Torn++
-			return
-		}
-		data = data[frameHeader+int(n):]
-		switch payload[0] {
-		case 'A':
-			if len(payload) < 1+8+2 {
-				j.stats.Torn++
-				return
-			}
-			id := binary.LittleEndian.Uint64(payload[1:])
-			ml := int(binary.LittleEndian.Uint16(payload[9:]))
-			if len(payload) < 11+ml {
-				j.stats.Torn++
-				return
-			}
-			meta := string(payload[11 : 11+ml])
-			rec, err := dec.Unmarshal(payload[11+ml:])
-			if err != nil {
-				// The frame passed its CRC, so this is a codec-session
-				// break, which also ends the segment's readable prefix.
-				j.stats.Torn++
-				return
-			}
-			if id >= j.nextID {
+		if p[0] == 'A' {
+			if id := binary.LittleEndian.Uint64(p[1:]); id >= j.nextID {
 				j.nextID = id + 1
 			}
-			if _, dup := byID[id]; !dup {
-				byID[id] = Entry{ID: id, Meta: meta, Rec: rec}
-				*order = append(*order, id)
-				j.segs[si].unacked[id] = struct{}{}
-				j.segOf[id] = si
-			}
-		case 'K':
-			if len(payload) < 3 {
-				j.stats.Torn++
-				return
-			}
-			cnt := int(binary.LittleEndian.Uint16(payload[1:]))
-			if len(payload) < 3+8*cnt {
-				j.stats.Torn++
-				return
-			}
+		} else {
+			cnt := int(binary.LittleEndian.Uint16(p[1:]))
 			for i := 0; i < cnt; i++ {
-				acked[binary.LittleEndian.Uint64(payload[3+8*i:])] = struct{}{}
+				acked[binary.LittleEndian.Uint64(p[3+8*i:])] = *ord
 			}
-		default:
+		}
+		*ord++
+		rest = next
+	}
+	return data[:len(data)-len(rest)]
+}
+
+// recoverSegment is replay's second pass over one segment's readable
+// prefix. An accept is returned when no later ack covers it and no earlier
+// accept of its id was returned. Decoding stops after the last such
+// accept; a CRC-valid accept that fails to decode is a codec-session break,
+// counted as torn, and ends the segment's accepts.
+func (j *Journal) recoverSegment(si int, prefix []byte, ord *int, acked map[uint64]int) {
+	base := *ord
+	// wanted reports whether the accept of id at frame ordinal o is returned.
+	wanted := func(id uint64, o int) bool {
+		last, ok := acked[id]
+		_, dup := j.segOf[id]
+		return (!ok || last < o) && !dup
+	}
+	end := 0 // length of the prefix up to the last accept to return
+	for rest := prefix; len(rest) > 0; *ord++ {
+		p, next, _ := splitFrame(rest)
+		rest = next
+		if p[0] == 'A' && wanted(binary.LittleEndian.Uint64(p[1:]), *ord) {
+			end = len(prefix) - len(rest)
+		}
+	}
+	if end == 0 {
+		return
+	}
+	dec := dist.NewCodec()
+	if j.cfg.Ext != nil {
+		dec.SetValueCodec(j.cfg.Ext)
+	}
+	for rest, o := prefix[:end], base; len(rest) > 0; o++ {
+		p, next, _ := splitFrame(rest)
+		rest = next
+		if p[0] != 'A' {
+			continue
+		}
+		id := binary.LittleEndian.Uint64(p[1:])
+		ml := int(binary.LittleEndian.Uint16(p[9:]))
+		rec, err := dec.Unmarshal(p[11+ml:])
+		if err != nil {
 			j.stats.Torn++
 			return
 		}
+		if !wanted(id, o) {
+			continue // decoded only for the labels it defines
+		}
+		j.recovered = append(j.recovered, Entry{ID: id, Meta: string(p[11 : 11+ml]), Rec: rec})
+		j.segs[si].unacked[id] = struct{}{}
+		j.segOf[id] = si
 	}
+}
+
+// splitFrame splits data's first frame into its payload and the bytes
+// after it. ok is false when the frame is cut short or its length prefix
+// is impossible.
+func splitFrame(data []byte) (payload, rest []byte, ok bool) {
+	if len(data) < frameHeader {
+		return nil, nil, false
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if n == 0 || n > maxFrame || int(n) > len(data)-frameHeader {
+		return nil, nil, false
+	}
+	return data[frameHeader : frameHeader+int(n)], data[frameHeader+int(n):], true
+}
+
+// wellFormed reports whether a payload is an accept or an ack whose
+// header fits in it.
+func wellFormed(p []byte) bool {
+	switch p[0] {
+	case 'A':
+		return len(p) >= 11 && len(p) >= 11+int(binary.LittleEndian.Uint16(p[9:]))
+	case 'K':
+		return len(p) >= 3 && len(p) >= 3+8*int(binary.LittleEndian.Uint16(p[1:]))
+	}
+	return false
 }
 
 // segIndex parses seg-NNNNNN.wal.
@@ -349,7 +384,13 @@ func (j *Journal) Append(meta string, r *record.Record) (uint64, error) {
 	if len(meta) > 0xffff {
 		return 0, fmt.Errorf("journal: meta too long (%d bytes)", len(meta))
 	}
-	rec, err := j.enc.Marshal(r)
+	id := j.nextID
+	p := append(j.buf[:0], make([]byte, frameHeader)...)
+	p = append(p, 'A')
+	p = binary.LittleEndian.AppendUint64(p, id)
+	p = binary.LittleEndian.AppendUint16(p, uint16(len(meta)))
+	p = append(p, meta...)
+	p, err := j.enc.AppendMarshal(p, r)
 	if err != nil {
 		// The codec session may have committed label state the failed
 		// frame never wrote; reseal the segment so disk and session agree.
@@ -360,14 +401,7 @@ func (j *Journal) Append(meta string, r *record.Record) (uint64, error) {
 	}
 	// The id is consumed even when the write fails: a torn frame may still
 	// replay, and reusing its id for a later record would collide with it.
-	id := j.nextID
 	j.nextID++
-	p := append(j.buf[:0], make([]byte, frameHeader)...)
-	p = append(p, 'A')
-	p = binary.LittleEndian.AppendUint64(p, id)
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(meta)))
-	p = append(p, meta...)
-	p = append(p, rec...)
 	if err := j.writeFrame(p); err != nil {
 		return 0, err
 	}
