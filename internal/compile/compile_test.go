@@ -681,3 +681,60 @@ func TestFig2DescribeContainsPlacement(t *testing.T) {
 		t.Fatalf("Describe missing placement:\n%s", d)
 	}
 }
+
+// TestCompileWindowedMergerOnExecutors: the Fig. 3 merger idiom folded per
+// window under a split — the benchmark's windowed aggregation, written in
+// S-Net — compiles to a split whose replicas run on executors (the idiom's
+// operand is a stage tree feeding a chained star), and every window sums
+// its readings.
+func TestCompileWindowedMergerOnExecutors(t *testing.T) {
+	reg := NewRegistry()
+	reg.RegisterBox("seed", func(c *core.BoxCall) error {
+		c.Emit(record.New().SetField("acc", c.Field("val")))
+		return nil
+	})
+	reg.RegisterBox("fold", func(c *core.BoxCall) error {
+		c.Emit(record.New().SetField("acc", c.Field("acc").(int)+c.Field("val").(int)))
+		return nil
+	})
+	res, err := Source(`
+		net window {
+			box seed ( (val, <fst>) -> (acc) );
+			box fold ( (acc, val) -> (acc) );
+		} connect
+			( ( ( seed .. [ {} -> {<cnt=1>} ] ) | [] )
+			  .. ( [| {acc}, {val} |]
+			       .. ( ( fold .. [ {<cnt>} -> {<cnt+=1>} ] ) | [] )
+			     ) * {<cnt> == <win>}
+			) ! <slot>;
+	`, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, _ := res.Net("window")
+	n := core.NewNetwork(ent, core.Options{})
+	if st := n.OptStats(); st.SplitsOnExecutors != 1 || st.StarOperandsInlined != 1 {
+		t.Fatalf("OptStats = %+v, want the split on executors over a chained star", st)
+	}
+	const slots, win = 6, 4
+	var ins []*record.Record
+	for i := 0; i < win; i++ {
+		for s := 0; s < slots; s++ {
+			r := record.New().SetField("val", 10*s+i).SetTag("slot", s).SetTag("win", win)
+			if i == 0 {
+				r.SetTag("fst", 1)
+			}
+			ins = append(ins, r)
+		}
+	}
+	outs, err := n.Run(ins...)
+	if err != nil || len(outs) != slots {
+		t.Fatalf("outs=%v err=%v", outs, err)
+	}
+	for _, r := range outs {
+		s, _ := r.Tag("slot")
+		if acc, _ := r.Field("acc"); acc != 40*s+6 {
+			t.Fatalf("slot %d summed to %v, want %d", s, acc, 40*s+6)
+		}
+	}
+}

@@ -315,6 +315,7 @@ func starEnt(a *Entity, exit *rtype.Pattern, chained bool) *Entity {
 		sig:    rtype.NewSignature(inT, rtype.NewType(exit.Variant)),
 		kids:   []*Entity{a},
 		kind:   kindStar,
+		exit:   exit,
 		chain:  chained,
 		// Records only leave through the exit tap, so the output type
 		// holds structurally even when the operand's does not.
@@ -424,91 +425,125 @@ func (s *star) newChain() chain {
 }
 
 // drive runs a chain: the taps in front of its replicas and the replicas
-// themselves, in one goroutine. A record from in meets the first tap; what
-// the replica there puts out meets the next tap, and so on until everything
-// has left through an exit tap or come to rest in a synchrocell — only then
-// is the next record received. The way is walked depth first over an
-// explicit stack of (record, unfolding), the way machine.run walks a stage
-// tree: one record is taken as far as it goes before its sibling moves, so
-// every tap still sees its predecessor's output in order, as it would over a
-// link; an exit match is sent the moment it is found, so a slow reader holds
-// the driver back as it held a tap back; what waits is at most one replica's
-// fan-out per unfolding; and star depth is a loop count, never Go stack
-// depth. Control records leave at the first tap, behind all the data that
+// themselves, in one goroutine. A record from in meets the first tap and is
+// walked through the unfoldings (see pass) before the next record is
+// received. Control records leave at the first tap, behind all the data that
 // came in front of them.
-//
-// The driver hands off — replica k's output leaves over a link to a new
-// driver that owns the unfoldings from k+1 on, which is what every unfolding
-// used to do — only where a goroutine buys overlap: replica k ran its box on
-// a record no synchrocell released in the same pass. There is no cell in
-// front of the box, or the cells have fired and are the identity now. Such a
-// box runs on every record that matches it, so unfoldings pipeline. A box
-// that only ever runs on a join runs once per join, and the unfoldings are
-// serial by data dependence.
 //
 // Close discards what the synchrocells still hold, in depth order, then
 // closes the hand-off link and signs off from the star's output.
 func (s *star) drive(in *stream.Link, c chain) {
-	env, m := s.env, c.m
+	env := s.env
 	defer env.closeLink(s.out)
-	defer func() {
-		m.discardStored()
-		if c.next != nil {
-			env.closeLink(c.next)
-		}
-	}()
+	defer c.close()
 	var work []chainItem
 	for {
 		r, ok := env.recv(in)
 		if !ok {
 			return
 		}
-		work = append(work, chainItem{r, 0})
-		for steps := 1; len(work) > 0; steps++ {
-			// Nothing below blocks unless a box or a full output does, so
-			// a long way through the unfoldings has to look for Stop itself.
-			if steps%stopCheckEvery == 0 && env.stopped() {
-				return
-			}
-			top := len(work) - 1
-			r, i := work[top].r, work[top].i
-			work[top].r = nil
-			work = work[:top]
-			if s.leaves(r) {
-				if !s.send(r) {
-					return
-				}
-				continue
-			}
-			if i == c.n {
-				c.n++
-				m.instantiate()
-			}
-			// With a hand-off, replica n-1's output leaves over next.
-			last := c.next != nil && i == c.n-1
-			m.use(i)
-			m.joined, m.ranUngated = false, false
-			if !m.run(m.ent.stages, r, nil) {
-				return
-			}
-			if m.ranUngated && !last {
-				s.handOff(&c, i)
-				last = true
-			}
-			if last {
-				if !m.deliver(c.next) {
-					return
-				}
-				continue
-			}
-			// The outputs meet the next tap, the first of them first.
-			outs := m.call.pending
-			for j := len(outs) - 1; j >= 0; j-- {
-				work = append(work, chainItem{outs[j], i + 1})
-				outs[j] = nil
-			}
-			m.call.pending = outs[:0]
+		var final *record.Record
+		if final, work, ok = s.pass(&c, append(work, chainItem{r, 0})); !ok {
+			return
 		}
+		if final != nil && !s.send(final) {
+			return
+		}
+	}
+}
+
+// pass walks what is on work through chain c: a record meets the tap of its
+// unfolding; what the replica there puts out meets the next tap, and so on
+// until everything has left through an exit tap or come to rest in a
+// synchrocell. The way is walked depth first over the explicit stack, the way
+// machine.run walks a stage tree: one record is taken as far as it goes
+// before its sibling moves, so every tap still sees its predecessor's output
+// in order, as it would over a link; an exit match is sent the moment it is
+// found, so a slow reader holds the walk back as it held a tap back; what
+// waits is at most one replica's fan-out per unfolding; and star depth is a
+// loop count, never Go stack depth. The one exception is an exit match that
+// is the walk's last step: pass returns it unsent, for the caller to send
+// once it has settled its own accounts (see execPool.feed). It also returns
+// the emptied stack, for reuse; false means the instance was stopped.
+//
+// The walk hands off — replica k's output leaves over a link to a new driver
+// that owns the unfoldings from k+1 on, which is what every unfolding used to
+// do — only where a goroutine buys overlap: replica k ran its box on a record
+// no synchrocell released in the same pass. There is no cell in front of the
+// box, or the cells have fired and are the identity now. Such a box runs on
+// every record that matches it, so unfoldings pipeline. A box that only ever
+// runs on a join runs once per join, and the unfoldings are serial by data
+// dependence.
+func (s *star) pass(c *chain, work []chainItem) (*record.Record, []chainItem, bool) {
+	env, m := s.env, c.m
+	for steps := 1; len(work) > 0; steps++ {
+		// Nothing below blocks unless a box or a full output does, so a
+		// long way through the unfoldings has to look for Stop itself.
+		if steps%stopCheckEvery == 0 && env.stopped() {
+			return nil, work, false
+		}
+		top := len(work) - 1
+		r, i := work[top].r, work[top].i
+		work[top].r = nil
+		work = work[:top]
+		if s.leaves(r) {
+			if len(work) == 0 {
+				return r, work, true
+			}
+			if !s.send(r) {
+				return nil, work, false
+			}
+			continue
+		}
+		if i == c.n {
+			c.n++
+			m.instantiate()
+		}
+		// With a hand-off, replica n-1's output leaves over next.
+		last := c.next != nil && i == c.n-1
+		m.use(i)
+		m.joined, m.ranUngated = false, false
+		if !m.run(m.ent.stages, r, nil) {
+			return nil, work, false
+		}
+		if m.ranUngated && !last {
+			s.handOff(c, i)
+			last = true
+		}
+		if last {
+			if !m.deliver(c.next) {
+				return nil, work, false
+			}
+			continue
+		}
+		// The outputs meet the next tap, the first of them first.
+		work = m.pushOuts(work, i+1)
+	}
+	return nil, work, true
+}
+
+// pushOuts moves what the stages put out onto work, bound for the tap of
+// unfolding i, the first of them on top.
+func (m *machine) pushOuts(work []chainItem, i int) []chainItem {
+	outs := m.call.pending
+	for j := len(outs) - 1; j >= 0; j-- {
+		work = append(work, chainItem{outs[j], i})
+		outs[j] = nil
+	}
+	m.call.pending = outs[:0]
+	return work
+}
+
+// close discards what c's synchrocells still hold, in depth order, and closes
+// its hand-off link. A chain that never met a record has no machine, nothing
+// stored and no hand-off.
+func (c *chain) close() {
+	if c.m == nil {
+		return
+	}
+	c.m.discardStored()
+	if c.next != nil {
+		c.m.env.closeLink(c.next)
 	}
 }
 

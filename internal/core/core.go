@@ -567,14 +567,17 @@ type Entity struct {
 	// nesting of its parts' trees, and keeps the parts as kids.
 	stages []fuseStage
 	layout stageLayout
+	// exit (kindStar) is the star's exit pattern.
+	exit *rtype.Pattern
 	// chain (kindStar) makes the star run its unfoldings — operand stage
 	// tree and tap — in a driver goroutine instead of spawning the operand
 	// per unfolding (see star.drive). Only the optimizer sets it.
 	chain bool
 	// executors (kindSplit) makes the split keep one state block per tag
-	// value and run the operand's stage tree on reusable executor goroutines
-	// instead of spawning the operand per tag value (see execPool). Only the
-	// optimizer sets it.
+	// value and run the operand on reusable executor goroutines instead of
+	// spawning it per tag value (see execPool). The operand is a stage tree,
+	// a chained star, or a stage tree feeding a chained star (execOperand).
+	// Only the optimizer sets it.
 	executors bool
 	// selTree/selCursors drive choice dispatch (kindChoice/kindDetChoice):
 	// the selector tree reproduces nested round-robin tie-breaking over

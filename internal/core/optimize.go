@@ -10,7 +10,8 @@ const (
 	// OptimizeFull — the zero value, on by default — enables the whole
 	// rewrite catalogue: serial/choice flattening, identity elision, stage
 	// fusion (filters, a box, synchrocells, choices; star operands run in
-	// the star's chain driver, split operands on the split's executors), and
+	// the star's chain driver, split operands — a stage tree, a chained
+	// star, or a stage tree feeding one — on the split's executors), and
 	// signature-driven branch pruning.
 	OptimizeFull OptimizeLevel = iota
 	// OptimizeOff disables the optimizer: the tree spawns exactly as
@@ -48,12 +49,14 @@ type OptStats struct {
 	// choices that became stages of a fused entity instead of goroutines
 	// of their own (a fused choice's branches are nested stage lists).
 	// StarOperandsInlined counts stars whose operand — a stage tree — is not
-	// spawned per unfolding but run by the star's own chain driver (see
-	// star.drive): no goroutine and no link per unfolding on the star's node.
+	// spawned per unfolding but run as a chain, by the star's own driver
+	// (see star.drive) or, under a split on executors, by the executors: no
+	// goroutine and no link per unfolding on the star's node.
 	// SplitsOnExecutors counts indexed splits (A!<t>) whose operand — a
-	// stage tree — is not spawned per tag value but kept as a state block
-	// per tag value and run on the split's reusable executors (see
-	// execPool): no goroutine and no link per replica.
+	// stage tree, a chained star, or a stage tree feeding a chained star —
+	// is not spawned per tag value but kept as a state block per tag value
+	// and run on the split's reusable executors (see execPool): no goroutine
+	// and no link per replica.
 	SyncsFused          int
 	ChoicesFused        int
 	StarOperandsInlined int
@@ -95,12 +98,14 @@ type OptStats struct {
 //     instead of spawning the operand per unfolding; it hands off to a new
 //     driver only behind an unfolding whose box ran on a record no
 //     synchrocell released in the same pass.
-//   - Split executors: a plain split (A!<t>) whose operand is a stage tree
-//     keeps one state block per tag value and runs the tree on executors —
-//     goroutines spawned only when a replica has records and no executor is
-//     idle — so the goroutine count is the peak number of busy replicas, not
-//     the number of tag values. Placed splits (A!@<t>) keep a replica each:
-//     their hops are the platform's to charge.
+//   - Split executors: a plain split (A!<t>) whose operand is a stage tree,
+//     a chained star, or a stage tree feeding a chained star (the Fig. 3
+//     merger idiom) keeps one state block per tag value — the tree's state
+//     and the star's chain — and runs it on executors — goroutines spawned
+//     only when a replica has records and no executor is idle — so the
+//     goroutine count is the peak number of busy replicas, not the number
+//     of tag values. Placed splits (A!@<t>) keep a replica each: their hops
+//     are the platform's to charge.
 //   - Branch pruning: a choice branch no upstream record can ever win
 //     dispatch for (rtype.Dominated over the declared signatures, sound
 //     under flow inheritance) is removed; a choice left with one branch is
@@ -168,8 +173,9 @@ func (o *optimizer) rewrite(e *Entity) *Entity {
 			o.stats.StarOperandsInlined++
 		}
 	case kindSplit:
-		// Likewise: the hook builds the split that runs a stage-tree operand
-		// on executors.
+		// Likewise: the hook builds the split that runs its operand on
+		// executors when execOperand accepts it; the operand is rewritten
+		// first, so a star in it is chained by then.
 		r = e.rebuild([]*Entity{o.operand(e.kids[0])})
 		if r.executors {
 			o.stats.SplitsOnExecutors++

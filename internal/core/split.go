@@ -33,9 +33,9 @@ func SplitAt(a *Entity, tag string) *Entity { return splitEnt(a, tag, true, fals
 
 // splitEnt implements both Split and SplitAt; placed is false for the
 // non-placing variant. With executors set — by the optimizer, through the
-// rebuild hook, when a plain split's operand is a stage tree — a replica is
-// a state block run on the split's executors (see execPool) instead of a
-// spawned operand.
+// rebuild hook, when a plain split's operand is one execOperand accepts — a
+// replica is a state block run on the split's executors (see execPool)
+// instead of a spawned operand.
 func splitEnt(a *Entity, tag string, placed, executors bool) *Entity {
 	// The input type is A's input type with the index tag added to every
 	// variant (every incoming record must carry the tag).
@@ -61,7 +61,8 @@ func splitEnt(a *Entity, tag string, placed, executors bool) *Entity {
 		detDepth:  a.detDepth,
 		looseOut:  a.looseOut,
 		rebuild: func(kids []*Entity) *Entity {
-			return splitEnt(kids[0], tag, placed, !placed && kids[0].stages != nil)
+			_, _, ok := execOperand(kids[0])
+			return splitEnt(kids[0], tag, placed, !placed && ok)
 		},
 	}
 	e.spawn = func(env *Env, in, out *stream.Link) {
@@ -259,32 +260,54 @@ func (s *splitter) output(node int) *stream.Link {
 	return instOut
 }
 
-// execPool runs the replicas of a split whose operand is a stage tree. A
-// replica is a state block — one instantiation's synchrocell slots, fill
-// counters and choice cursors, and the records queued for it — and an
-// executor is a goroutine with a machine over the tree, which it points at
-// one replica's block at a time to run that replica's queue in order. The
-// dispatcher hands a replica that has records and no executor to an idle
-// executor, or starts a new one when none is idle: a replica with records
-// never waits for another's, so box executions of different replicas overlap
-// as they did with a goroutine each, but there are as many goroutines as the
-// busiest moment needed, not one per tag value. A replica's queue holds at
-// most what its input link would have, so a slow replica holds the
-// dispatcher back as a full link did.
+// execOperand reports whether a split's executors can run operand a, and
+// how: a is a stage tree (prefix), a chained star (tail), or a stage tree
+// feeding a chained star (both) — the paper's Fig. 3 merger idiom.
+func execOperand(a *Entity) (prefix, tail *Entity, ok bool) {
+	switch {
+	case a.stages != nil:
+		return a, nil, true
+	case a.chain:
+		return nil, a, true
+	case a.kind == kindSerial && len(a.kids) == 2 && a.kids[0].stages != nil && a.kids[1].chain:
+		return a.kids[0], a.kids[1], true
+	}
+	return nil, nil, false
+}
+
+// execPool runs the replicas of a split whose operand is a stage tree, a
+// chained star, or a stage tree feeding one (execOperand). A replica is a
+// state block — one instantiation's synchrocell slots, fill counters and
+// choice cursors, the star's chain of unfoldings, and the records queued for
+// it — and an executor is a goroutine with a machine over the stage tree,
+// which it points at one replica's block at a time to run that replica's
+// queue in order, walking what the tree puts out through the replica's chain
+// (star.pass). The dispatcher hands a replica that has records and no
+// executor to an idle executor, or starts a new one when none is idle: a
+// replica with records never waits for another's, so box executions of
+// different replicas overlap as they did with a goroutine each, but there are
+// as many goroutines as the busiest moment needed, not one per tag value. A
+// replica's queue holds at most what its input link would have, so a slow
+// replica holds the dispatcher back as a full link did. A chain that hands
+// off starts a driver goroutine, one more sender on the split's output, as a
+// star's chain does.
 //
 // Running the replicas in the dispatcher's own stack, as a star chain runs
 // its unfoldings, would serialise them: solver!<cpu> would make one box call
 // at a time.
 type execPool struct {
-	env   *Env
-	ent   *Entity      // the operand's stage tree
-	out   *stream.Link // where every replica puts out
-	limit int          // records one replica may queue
-	reps  []*execReplica
-	wg    sync.WaitGroup
+	env    *Env
+	prefix *Entity      // the operand's stage tree, if it has one
+	tail   *star        // the operand's chained star, if it has one
+	out    *stream.Link // where every replica puts out
+	limit  int          // records one replica may queue
+	reps   []*execReplica
+	wg     sync.WaitGroup
 
-	// handoff gives a replica to a parked executor; closed when the input
-	// has ended, which sends the parked ones away.
+	// handoff gives a replica to an executor counted idle; closed when the
+	// input has ended, which sends the parked ones away. It is unbuffered:
+	// while the dispatcher waits on it, other executors go idle and are
+	// counted, so the next tag value finds one instead of starting another.
 	handoff chan *execReplica
 
 	mu   sync.Mutex
@@ -295,8 +318,9 @@ type execPool struct {
 
 // execReplica is one tag value's replica on executors.
 type execReplica struct {
-	stored []*record.Record // layout.slots synchrocell slots
-	ints   []int            // layout.ints() fill counters and cursors
+	stored []*record.Record // the tree's layout.slots synchrocell slots
+	ints   []int            // the tree's layout.ints() fill counters and cursors
+	chain  chain            // the star's unfoldings; no machine before the first record
 
 	// Guarded by the pool's mu.
 	q    []*record.Record // queued records: q[head:], in arrival order
@@ -311,17 +335,24 @@ type execReplica struct {
 // newExecPool is the pool for a split instance whose replicas run ent and
 // put out on out.
 func newExecPool(env *Env, ent *Entity, out *stream.Link) *execPool {
-	return &execPool{env: env, ent: ent, out: out, limit: max(1, env.opts.BufferSize),
+	prefix, tail, _ := execOperand(ent)
+	p := &execPool{env: env, prefix: prefix, out: out, limit: max(1, env.opts.BufferSize),
 		handoff: make(chan *execReplica), room: make(chan struct{}, 1)}
+	if tail != nil {
+		p.tail = &star{env: env, a: tail.kids[0], exit: tail.exit, out: out}
+	}
+	return p
 }
 
 // add makes the state block of a new replica, zero.
 func (p *execPool) add() *execReplica {
-	l := &p.ent.layout
 	x := &execReplica{}
 	x.stored, x.ints, x.q = x.storedArr[:0], x.intArr[:0], x.qArr[:0]
-	x.stored = append(x.stored, make([]*record.Record, l.slots)...)
-	x.ints = append(x.ints, make([]int, l.ints())...)
+	if p.prefix != nil {
+		l := &p.prefix.layout
+		x.stored = append(x.stored, make([]*record.Record, l.slots)...)
+		x.ints = append(x.ints, make([]int, l.ints())...)
+	}
 	p.reps = append(p.reps, x)
 	return x
 }
@@ -357,7 +388,8 @@ func (p *execPool) dispatch(x *execReplica, run []*record.Record) bool {
 		case !start:
 		case parked:
 			// An executor counted idle is parked on handoff or about to
-			// be, so this send waits for nothing else.
+			// be, at most one output away, so this send waits for nothing
+			// else.
 			select {
 			case p.handoff <- x:
 			case <-p.env.done:
@@ -386,15 +418,27 @@ func (p *execPool) start(x *execReplica) {
 	})
 }
 
-// run is an executor: a machine over the tree, pointed at one replica's
-// state block at a time. It runs x's queue through the tree, then parks
-// until it is handed the next replica.
+// run is an executor: a machine over the stage tree, pointed at one
+// replica's state block at a time. It runs x's queue through the operand,
+// then parks until it is handed the next replica.
 func (p *execPool) run(x *execReplica) {
-	m := newMachine(p.env, p.ent)
+	var m *machine
+	if p.prefix != nil {
+		m = newMachine(p.env, p.prefix)
+	}
+	var work []chainItem
 	for {
-		m.stored, m.ints = x.stored, x.ints
-		for r := p.next(x); r != nil; r = p.next(x) {
-			if !m.feed(r, p.out) {
+		if m != nil {
+			m.stored, m.ints = x.stored, x.ints
+		}
+		ahead := false
+		for {
+			r, last := p.next(x, ahead)
+			if r == nil {
+				break
+			}
+			var ok bool
+			if ahead, work, ok = p.feed(m, x, r, last, work); !ok {
 				return
 			}
 		}
@@ -410,19 +454,80 @@ func (p *execPool) run(x *execReplica) {
 	}
 }
 
-// next takes x's next queued record. When there is none it lets x go and
-// returns nil, counting the executor idle.
-func (p *execPool) next(x *execReplica) *record.Record {
+// feed runs r, a record of x's, through the operand and puts out what comes
+// of it; work is the executor's reusable walk stack. When r was the last
+// record x had queued and there is output, the executor counts itself idle
+// just before the final output leaves (ahead, see next): whoever reads that
+// output may answer it with a new tag value at once, and the dispatcher must
+// find this executor idle then, not start another. False means the instance
+// was stopped.
+func (p *execPool) feed(m *machine, x *execReplica, r *record.Record, last bool, work []chainItem) (ahead bool, _ []chainItem, ok bool) {
+	if m != nil {
+		if !m.run(m.ent.stages, r, nil) {
+			return false, work, false
+		}
+		if p.tail == nil {
+			ahead = last && len(m.call.pending) > 0 && p.drained(x)
+			return ahead, work, m.deliver(p.out)
+		}
+		work = m.pushOuts(work, 0)
+	} else {
+		work = append(work, chainItem{r, 0})
+	}
+	if len(work) == 0 {
+		return false, work, true
+	}
+	if x.chain.m == nil {
+		x.chain = p.tail.newChain()
+	}
+	final, work, ok := p.tail.pass(&x.chain, work)
+	if !ok || final == nil {
+		return false, work, ok
+	}
+	ahead = last && p.drained(x)
+	return ahead, work, p.env.send(p.out, final)
+}
+
+// drained counts the executor idle ahead of time when x has nothing queued;
+// x stays the executor's until next lets it go.
+func (p *execPool) drained(x *execReplica) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if x.head < len(x.q) {
+		return false
+	}
+	p.idle++
+	return true
+}
+
+// next takes x's next queued record and reports whether it was the last one
+// queued. When there is none it lets x go and returns nil, counting the
+// executor idle unless it already is (ahead). An executor counted ahead that
+// finds records queued takes its count back — unless a dispatcher has
+// already claimed it; then x goes to a new executor, and next returns nil so
+// that this one parks and takes what it is handed.
+func (p *execPool) next(x *execReplica, ahead bool) (*record.Record, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if x.head == len(x.q) {
 		x.busy = false
-		p.idle++
-		return nil
+		if !ahead {
+			p.idle++
+		}
+		return nil, false
+	}
+	if ahead {
+		if p.idle == 0 {
+			p.start(x)
+			return nil, false
+		}
+		p.idle--
 	}
 	r := x.q[x.head]
 	x.q[x.head] = nil
-	if x.head++; x.head == len(x.q) {
+	x.head++
+	last := x.head == len(x.q)
+	if last {
 		x.q, x.head = x.q[:0], 0
 	}
 	if p.full == x {
@@ -432,17 +537,19 @@ func (p *execPool) next(x *execReplica) *record.Record {
 		default:
 		}
 	}
-	return r
+	return r, last
 }
 
 // close ends the pool once the input has ended: parked executors leave,
-// busy ones leave when their replica's queue is empty and they would park,
-// and then what the replicas' synchrocells still hold is discarded, in
-// creation order.
+// busy ones leave when their replica's queue is empty and they would park.
+// Then, replica by replica in creation order, what the tree's synchrocells
+// still hold is discarded, then what the chain's hold, in depth order, and
+// the chain's hand-off link is closed.
 func (p *execPool) close() {
 	close(p.handoff)
 	p.wg.Wait()
 	for _, x := range p.reps {
 		discardStored(p.env, x.stored)
+		x.chain.close()
 	}
 }

@@ -38,47 +38,78 @@ func pairRecs(k int) (*record.Record, *record.Record) {
 	return record.New().SetField("a", k).SetTag("k", k), record.New().SetField("b", 2*k).SetTag("k", k)
 }
 
+// replicaGoroutines feeds keys tag values one at a time through a split
+// instance of ent — each value's records from recs, then one output, checked
+// by check — and returns the goroutines of an idle instance and of one with
+// every replica made (its input still open).
+func replicaGoroutines(t *testing.T, ent *Entity, lvl OptimizeLevel, keys int,
+	recs func(k int) []*record.Record, check func(k int, r *record.Record) bool) (perInstance, got int) {
+	t.Helper()
+	n := NewNetwork(ent, Options{Optimize: lvl})
+	if want := map[OptimizeLevel]int{OptimizeOff: 0, OptimizeFull: 1}[lvl]; n.OptStats().SplitsOnExecutors != want {
+		t.Fatalf("level %d: %+v, want %d split on executors", lvl, n.OptStats(), want)
+	}
+	idle := n.Start()
+	before := runtime.NumGoroutine()
+	inst := n.Start()
+	perInstance = runtime.NumGoroutine() - before
+	for k := 0; k < keys; k++ {
+		for _, r := range recs(k) {
+			inst.Send(r)
+		}
+		if r := <-inst.Out; r == nil {
+			t.Fatalf("level %d: output closed at key %d", lvl, k)
+		} else if !check(k, r) {
+			t.Fatalf("level %d: output %v for key %d", lvl, r, k)
+		}
+	}
+	got = runtime.NumGoroutine() - before
+	for _, i := range []*Instance{inst, idle} {
+		if err := i.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return perInstance, got
+}
+
 // TestSplitReplicasAreNotGoroutines: a split whose operand is a stage tree
 // keeps a state block per tag value and runs it on executors, so 10 000 tag
 // values fed one at a time cost the instance a few executors, not a
 // goroutine (and two links) each. The tree as written still spawns a replica per value.
 func TestSplitReplicasAreNotGoroutines(t *testing.T) {
 	leakcheck.Check(t)
-	grow := func(lvl OptimizeLevel, keys int) (perInstance, got int) {
-		n := NewNetwork(Split(pairSum(nil), "k"), Options{Optimize: lvl})
-		if want := map[OptimizeLevel]int{OptimizeOff: 0, OptimizeFull: 1}[lvl]; n.OptStats().SplitsOnExecutors != want {
-			t.Fatalf("level %d: %+v, want %d split on executors", lvl, n.OptStats(), want)
-		}
-		idle := n.Start()
-		before := runtime.NumGoroutine()
-		inst := n.Start()
-		perInstance = runtime.NumGoroutine() - before
-		for k := 0; k < keys; k++ {
-			a, b := pairRecs(k)
-			inst.Send(a)
-			inst.Send(b)
-			if r := <-inst.Out; r == nil {
-				t.Fatalf("level %d: output closed at key %d", lvl, k)
-			} else if s, _ := r.Field("sum"); s != 3*k {
-				t.Fatalf("level %d: sum %v for key %d", lvl, s, k)
-			}
-		}
-		// Every replica exists now (the input is still open).
-		got = runtime.NumGoroutine() - before
-		for _, i := range []*Instance{inst, idle} {
-			if err := i.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return perInstance, got
-	}
-	// An executor that has put its result out is busy until it parks, so the
-	// next tag value can find none idle and start another: a few, not one.
-	if per, got := grow(OptimizeFull, 10_000); got > per+4 {
+	recs := func(k int) []*record.Record { a, b := pairRecs(k); return []*record.Record{a, b} }
+	check := func(k int, r *record.Record) bool { s, _ := r.Field("sum"); return s == 3*k }
+	// An executor counts itself idle before its last output leaves, so the
+	// next tag value, sent in answer to that output, finds it idle.
+	if per, got := replicaGoroutines(t, Split(pairSum(nil), "k"), OptimizeFull, 10_000, recs, check); got > per+4 {
 		t.Fatalf("%d goroutines after 10000 tag values, an idle instance has %d", got, per)
 	}
-	if per, got := grow(OptimizeOff, 100); got < per+100 {
+	if per, got := replicaGoroutines(t, Split(pairSum(nil), "k"), OptimizeOff, 100, recs, check); got < per+100 {
 		t.Fatalf("as written: %d goroutines after 100 tag values (idle %d), expected a replica each", got, per)
+	}
+}
+
+// TestSplitStarTailReplicasAreNotGoroutines: the Fig. 3 merger idiom under a
+// split — a stage tree feeding a chained star — runs on the split's executors
+// too: a tag value's replica is the tree's state and the star's chain, so
+// 10 000 tag values cost a few executors, not a prefix goroutine and a star
+// driver each. As written, every replica spawns at least those two.
+func TestSplitStarTailReplicasAreNotGoroutines(t *testing.T) {
+	leakcheck.Check(t)
+	net, _ := foldIdiom(cntExit(2))
+	recs := func(k int) []*record.Record {
+		return []*record.Record{
+			record.New().SetField("x", k).SetTag("fst", 1).SetTag("k", k),
+			record.New().SetField("x", 1).SetTag("k", k),
+		}
+	}
+	check := func(k int, r *record.Record) bool { acc, _ := r.Field("acc"); return acc == k+1 }
+	if per, got := replicaGoroutines(t, Split(net, "k"), OptimizeFull, 10_000, recs, check); got > per+4 {
+		t.Fatalf("%d goroutines after 10000 tag values, an idle instance has %d", got, per)
+	}
+	if per, got := replicaGoroutines(t, Split(net, "k"), OptimizeOff, 100, recs, check); got < per+200 {
+		t.Fatalf("as written: %d goroutines after 100 tag values (idle %d), expected two a replica at least", got, per)
 	}
 }
 
@@ -331,7 +362,7 @@ func TestSplitReplicaAllocCeiling(t *testing.T) {
 		if !s.dispatch(0, run) {
 			t.Fatal("dispatch refused")
 		}
-		if r := s.pool.next(s.block(0)); r != run[0] {
+		if r, _ := s.pool.next(s.block(0), false); r != run[0] {
 			t.Fatalf("took %v, want the record queued", r)
 		}
 	}); got != 0 {
@@ -342,5 +373,249 @@ func TestSplitReplicaAllocCeiling(t *testing.T) {
 	}
 	if !slices.Equal(s.pool.reps[:1], []*execReplica{s.block(1)}) {
 		t.Fatal("replicas not listed in creation order")
+	}
+}
+
+// TestSplitExecutorMergerIdiom: the Fig. 3 merger idiom under a split runs on
+// executors, Describe says so, and every key's window folds to the sum the
+// tree as written computes.
+func TestSplitExecutorMergerIdiom(t *testing.T) {
+	leakcheck.Check(t)
+	const keys, win = 12, 5
+	net, _ := foldIdiom(cntExit(win))
+	ins := func() []*record.Record {
+		var ins []*record.Record
+		for i := 0; i < win; i++ {
+			for k := 0; k < keys; k++ {
+				r := record.New().SetField("x", i+1).SetTag("k", k)
+				if i == 0 {
+					r.SetTag("fst", 1)
+				}
+				ins = append(ins, r)
+			}
+		}
+		return ins
+	}
+	root, st := Optimize(Split(net, "k"))
+	if st.SplitsOnExecutors != 1 || !root.executors {
+		t.Fatalf("merger idiom not on executors: %+v\n%s", st, root.Describe())
+	}
+	if d := root.Describe(); !strings.Contains(d, "!<k>)  :: ") || !strings.Contains(d, "-- executors") {
+		t.Fatalf("Describe does not mark the executors:\n%s", d)
+	}
+	for _, lvl := range []OptimizeLevel{OptimizeFull, OptimizeOff} {
+		outs, err := NewNetwork(Split(net, "k"), Options{Optimize: lvl}).Run(ins()...)
+		if err != nil || len(outs) != keys {
+			t.Fatalf("level %d: outs=%d err=%v", lvl, len(outs), err)
+		}
+		for _, r := range outs {
+			if acc, _ := r.Field("acc"); acc != win*(win+1)/2 {
+				t.Fatalf("level %d: %v, want acc %d", lvl, r, win*(win+1)/2)
+			}
+		}
+	}
+}
+
+// TestSplitExecutorChainHandsOff: a star tail whose operand reaches its box
+// ungated hands off behind every unfolding, from inside the executor: the
+// hand-off drivers are senders on the split's output, so box executions of
+// a tag value's unfoldings overlap — which its one executor alone could not
+// do — and the outputs are the tree's as written. Each execution but the
+// first, which has none to see, waits (bounded) until it has seen company.
+func TestSplitExecutorChainHandsOff(t *testing.T) {
+	leakcheck.Check(t)
+	// The split's entity, and how many box executions were ever in flight
+	// at once.
+	build := func() (*Entity, *atomic.Int32) {
+		var calls, inflight, high atomic.Int32
+		company := make(chan struct{})
+		var once sync.Once
+		sig := MustSig([]rtype.Label{rtype.T("n")}, []rtype.Label{rtype.T("n")})
+		box := NewBox("step", sig, func(c *BoxCall) error {
+			if now := inflight.Add(1); now >= 2 {
+				high.Store(now)
+				once.Do(func() { close(company) })
+			}
+			if calls.Add(1) > 1 {
+				select {
+				case <-company:
+				case <-time.After(time.Second):
+				}
+			}
+			inflight.Add(-1)
+			c.Emit(record.New().SetTag("n", c.Tag("n")+1))
+			return nil
+		})
+		exit := rtype.NewPattern(rtype.NewVariant(rtype.T("n"))).WithGuard(
+			func(r *record.Record) bool { v, _ := r.Tag("n"); return v == 4 }, "<n> == 4")
+		return Split(Star(box, exit), "k"), &high
+	}
+	ent, _ := build()
+	root, _ := Optimize(ent)
+	if d := root.Describe(); !root.executors || !strings.Contains(d, "-- chain, hand-off at every unfolding: ungated box") {
+		t.Fatalf("split over an ungated star not on executors:\n%s", d)
+	}
+	ins := func() []*record.Record {
+		ins := make([]*record.Record, 8)
+		for i := range ins {
+			ins[i] = record.New().SetTag("n", 0).SetTag("k", 0)
+		}
+		return ins
+	}
+	var want []string
+	for _, lvl := range []OptimizeLevel{OptimizeOff, OptimizeFull} {
+		ent, high := build()
+		outs, err := NewNetwork(ent, Options{Optimize: lvl}).Run(ins()...)
+		if err != nil || len(outs) != 8 {
+			t.Fatalf("level %d: outs=%d err=%v", lvl, len(outs), err)
+		}
+		var got []string
+		for _, r := range outs {
+			got = append(got, r.String())
+		}
+		slices.Sort(got)
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("outputs %v, as written %v", got, want)
+		}
+		if high.Load() < 2 {
+			t.Fatalf("level %d: box executions never overlapped: high-water mark %d", lvl, high.Load())
+		}
+	}
+}
+
+// goroutinesIn counts the live goroutines with a frame in each of fns.
+func goroutinesIn(fns ...string) []int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	counts := make([]int, len(fns))
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for i, fn := range fns {
+			if strings.Contains(g, fn) {
+				counts[i]++
+			}
+		}
+	}
+	return counts
+}
+
+// TestStopExecutorChainLeakFree: Stop reclaims a split on executors whatever
+// its goroutines are doing — one executor on a record's endless way through
+// its replica's chain, one parked, and a hand-off driver waiting for input.
+func TestStopExecutorChainLeakFree(t *testing.T) {
+	leakcheck.Check(t)
+	// [{<n>} -> {<n+=1>}] | mark, where mark turns {y} into {<n=0>,<max=1>}.
+	inc := NewFilter("", FilterRule{
+		Pattern: rtype.NewPattern(rtype.NewVariant(rtype.T("n"))),
+		Outputs: []FilterOutput{{SetTags: []TagAssign{{
+			Name: "n",
+			Expr: func(r *record.Record) int { v, _ := r.Tag("n"); return v + 1 },
+			Src:  "n+=1",
+		}}}},
+	})
+	mark := NewBox("mark", MustSig([]rtype.Label{rtype.F("y")}, []rtype.Label{rtype.T("n"), rtype.T("max")}),
+		func(c *BoxCall) error {
+			c.Emit(record.New().SetTag("n", 0).SetTag("max", 1))
+			return nil
+		})
+	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("n"), rtype.T("max"))).WithGuard(
+		func(r *record.Record) bool {
+			n, _ := r.Tag("n")
+			max, _ := r.Tag("max")
+			return n == max
+		}, "<n> == <max>")
+	n := NewNetwork(Split(Serial(setTagFilter("p", 1), Star(Choice(inc, mark), exit)), "k"), Options{})
+	if n.OptStats().SplitsOnExecutors != 1 {
+		t.Fatalf("split not on executors: %+v", n.OptStats())
+	}
+	inst := n.Start()
+	inst.Send(record.New().SetTag("n", 0).SetTag("max", 1<<40).SetTag("k", 0))
+	inst.Send(record.New().SetField("y", 1).SetTag("k", 1))
+	select {
+	case r := <-inst.Out:
+		if v, _ := r.Tag("k"); v != 1 {
+			t.Fatalf("output %v, want key 1's", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no output from the hand-off")
+	}
+	fns := []string{"core.(*execPool).run(", "core.(*star).pass(", "core.(*star).drive("}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		// Two executors, one of them walking; one driver, not walking.
+		c := goroutinesIn(fns...)
+		if c[0] == 2 && c[1] == 1 && c[2] == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("executors %d, walking %d, drivers %d: want 2, 1, 1", c[0], c[1], c[2])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	withTimeout(t, 5*time.Second, "Stop of executors mid-chain", func() { inst.Stop() })
+}
+
+// TestSplitExecutorCloseDiscardsChain: at close every replica gives up what
+// its tree's synchrocells hold and then what its chain's hold, and each
+// discarded record's delivery completes: the journal's unacked deliveries
+// are exactly the records the cells held, and all of them are acked once the
+// instance has closed.
+func TestSplitExecutorCloseDiscardsChain(t *testing.T) {
+	leakcheck.Check(t)
+	const keys = 4
+	// A cell in front of the merger idiom that no record of the stream
+	// completes: it holds each key's {p} and passes the rest.
+	_, operand := foldIdiom(cntExit(9))
+	seed := NewBox("seed",
+		MustSig([]rtype.Label{rtype.F("x"), rtype.T("fst")}, []rtype.Label{rtype.F("acc")}),
+		func(c *BoxCall) error {
+			c.Emit(record.New().SetField("acc", c.Field("x")))
+			return nil
+		})
+	hold := NewSync(rtype.NewPattern(rtype.NewVariant(rtype.F("p"))),
+		rtype.NewPattern(rtype.NewVariant(rtype.F("q"))))
+	prefix := Serial(hold, Choice(Serial(seed, setTagFilter("cnt", 1)), Identity()))
+	n := NewNetwork(Split(Serial(prefix, Star(operand, cntExit(9))), "k"),
+		Options{Durability: &Durability{Dir: t.TempDir()}})
+	if n.OptStats().SplitsOnExecutors != 1 {
+		t.Fatalf("split not on executors: %+v", n.OptStats())
+	}
+	inst := n.Start()
+	for k := 0; k < keys; k++ {
+		// The cell in front holds {p}; the first unfolding's holds the
+		// accumulator after {x=1}, the second's after {x=2}; {<cnt=9>}
+		// passes everything and leaves at the first tap, behind the rest.
+		inst.Send(record.New().SetField("p", 1).SetTag("k", k))
+		inst.Send(record.New().SetField("x", 1).SetTag("fst", 1).SetTag("k", k))
+		inst.Send(record.New().SetField("x", 2).SetTag("k", k))
+		inst.Send(record.New().SetTag("cnt", 9).SetTag("k", k))
+	}
+	for k := 0; k < keys; k++ {
+		if r := <-inst.Out; r == nil {
+			t.Fatal("output closed early")
+		}
+	}
+	// The outputs' acks trail them.
+	held := inst.env.jnl.Stats().Unacked
+	for deadline := time.Now().Add(5 * time.Second); held > 2*keys && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		held = inst.env.jnl.Stats().Unacked
+	}
+	if err := inst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Per key, {p}'s delivery and the accumulator's: the join of {x=1} and
+	// {x=2} lives on in it.
+	st := inst.env.jnl.Stats()
+	if held != 2*keys || st.Unacked != 0 || st.Acks != st.Appends {
+		t.Fatalf("%d deliveries held before close, %d unacked after, %d acks of %d appends; want %d, 0 and all",
+			held, st.Unacked, st.Acks, st.Appends, 2*keys)
 	}
 }

@@ -59,7 +59,7 @@ type stageLayout struct {
 	cursors int // round-robin cursors, all choices
 	// ungated: a record entering the tree can reach a box stage without
 	// first crossing a synchrocell, so a chained star over it is certain to
-	// hand off at every unfolding (see star.drive). Describe says so.
+	// hand off at every unfolding (see star.pass). Describe says so.
 	ungated bool
 }
 
@@ -175,7 +175,7 @@ const syncFired = -1
 // machine runs a stage tree for one goroutine: the box call context and
 // execution closure, the dispatch score cache, and the state of every
 // instantiation of the tree the goroutine owns, laid end to end — one for a
-// stage-tree entity, one per unfolding reached for a star chain (star.drive).
+// stage-tree entity, one per unfolding reached for a star chain (star.pass).
 // Instantiations run one at a time, so they share everything that is not
 // state: what an instantiation adds is its synchrocell slots, fill counters
 // and choice cursors, nothing at all for a tree without either. The inline

@@ -59,7 +59,10 @@ func fixCRCs(b []byte) []byte {
 // empty) or two. With fix set, every frame's CRC is made to match first.
 // Open must never panic, and a second Open after Close must recover the
 // same entries in the same order: replay's truncation may not change what
-// the next replay finds. Corpus: testdata/fuzz/FuzzJournal, plus the
+// the next replay finds. Then sessions that ack what they append, append
+// nothing, and leave what they append unacked follow one another: a later
+// session never hands out a delivery id that replay returned or that an
+// earlier session handed out. Corpus: testdata/fuzz/FuzzJournal, plus the
 // segments the journal writes today.
 func FuzzJournal(f *testing.F) {
 	seg0, seg1 := liveSegments(f)
@@ -98,6 +101,34 @@ func FuzzJournal(f *testing.F) {
 				return a.ID == b.ID && a.Meta == b.Meta && a.Rec.String() == b.Rec.String()
 			}) {
 				t.Fatalf("first Open recovered %v, second %v", entryIDs(first), entryIDs(got))
+			}
+		}
+		seen := map[uint64]bool{}
+		for _, e := range first {
+			seen[e.ID] = true
+		}
+		for session, kind := range []string{"ack", "none", "unacked", "ack", "none", "ack"} {
+			j, err := journal.Open(journal.Config{FS: fs})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			for i := 0; kind != "none" && i < 2; i++ {
+				id, err := j.Append("", rec(i))
+				if err != nil {
+					break // delivery ids exhausted
+				}
+				if seen[id] {
+					t.Fatalf("session %d handed out id %d again", session, id)
+				}
+				seen[id] = true
+				if kind == "ack" {
+					if err := j.Ack([]uint64{id}); err != nil {
+						t.Fatalf("Ack: %v", err)
+					}
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
 			}
 		}
 	})

@@ -40,13 +40,17 @@
 //
 // Segments rotate at Config.SegmentBytes; a sealed segment whose accepts
 // are all acked is deleted (truncation), so steady-state disk usage is
-// bounded by the in-flight window, not history.
+// bounded by the in-flight window, not history — except for the newest
+// segment that holds the highest delivery id handed out, which is kept
+// until a later accept exists: it is what keeps the next Open from handing
+// that id out again. A session that appends deletes it at its first ack.
 package journal
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"time"
 
@@ -158,7 +162,8 @@ type Journal struct {
 	cur       File
 	curSize   int
 	enc       *dist.Codec
-	nextID    uint64
+	hw        uint64 // the highest delivery id accepted on disk: NextID is hw+1
+	hwSeg     string // the newest segment holding hw's accept; never truncated
 	nextSeg   int
 	segs      []segState
 	segOf     map[uint64]int // delivery id -> index into segs
@@ -190,7 +195,7 @@ func Open(cfg Config) (*Journal, error) {
 	if cfg.FsyncInterval <= 0 {
 		cfg.FsyncInterval = DefaultFsyncInterval
 	}
-	j := &Journal{fs: cfg.FS, cfg: cfg, nextID: 1, segOf: map[uint64]int{}}
+	j := &Journal{fs: cfg.FS, cfg: cfg, segOf: map[uint64]int{}}
 	names, err := cfg.FS.List()
 	if err != nil {
 		return nil, fmt.Errorf("journal: list segments: %w", err)
@@ -207,7 +212,7 @@ func Open(cfg Config) (*Journal, error) {
 			return nil, fmt.Errorf("journal: read %s: %w", name, err)
 		}
 		j.segs = append(j.segs, segState{name: name, unacked: map[uint64]struct{}{}})
-		prefixes[si] = j.scanSegment(data, &ord, acked)
+		prefixes[si] = j.scanSegment(name, data, &ord, acked)
 	}
 	ord = 0
 	for si, prefix := range prefixes {
@@ -215,7 +220,8 @@ func Open(cfg Config) (*Journal, error) {
 	}
 	j.stats.Recovered = len(j.recovered)
 	// Every segment is sealed at this point (the session's own segment is
-	// created below), so any whose accepts are all acked is truncated.
+	// created below), so any whose accepts are all acked is truncated, up
+	// to the one holding the high-water id.
 	j.truncate()
 	if err := j.rotate(); err != nil {
 		return nil, err
@@ -227,9 +233,10 @@ func Open(cfg Config) (*Journal, error) {
 // scanSegment is replay's first pass over one segment: it checks each
 // frame's length, CRC and entry header, records every ack under its
 // frame ordinal (counted across segments from *ord) and advances NextID
-// past every accept. It returns the readable prefix, which ends at the
-// first torn or corrupt frame (counted, not fatal).
-func (j *Journal) scanSegment(data []byte, ord *int, acked map[uint64]int) []byte {
+// past every accept, noting name as the newest segment holding the highest.
+// It returns the readable prefix, which ends at the first torn or corrupt
+// frame (counted, not fatal).
+func (j *Journal) scanSegment(name string, data []byte, ord *int, acked map[uint64]int) []byte {
 	rest := data
 	for len(rest) > 0 {
 		p, next, ok := splitFrame(rest)
@@ -238,8 +245,8 @@ func (j *Journal) scanSegment(data []byte, ord *int, acked map[uint64]int) []byt
 			break
 		}
 		if p[0] == 'A' {
-			if id := binary.LittleEndian.Uint64(p[1:]); id >= j.nextID {
-				j.nextID = id + 1
+			if id := binary.LittleEndian.Uint64(p[1:]); id >= j.hw {
+				j.hw, j.hwSeg = id, name
 			}
 		} else {
 			cnt := int(binary.LittleEndian.Uint16(p[1:]))
@@ -347,11 +354,12 @@ func (j *Journal) Recovered() []Entry {
 	return j.recovered
 }
 
-// NextID returns the delivery id the next Append will assign.
+// NextID returns the delivery id the next Append will assign (0 once the
+// ids are exhausted).
 func (j *Journal) NextID() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.nextID
+	return j.hw + 1
 }
 
 // Stats snapshots the journal's counters.
@@ -384,7 +392,10 @@ func (j *Journal) Append(meta string, r *record.Record) (uint64, error) {
 	if len(meta) > 0xffff {
 		return 0, fmt.Errorf("journal: meta too long (%d bytes)", len(meta))
 	}
-	id := j.nextID
+	if j.hw == math.MaxUint64 {
+		return 0, fmt.Errorf("journal: delivery ids exhausted")
+	}
+	id := j.hw + 1
 	p := append(j.buf[:0], make([]byte, frameHeader)...)
 	p = append(p, 'A')
 	p = binary.LittleEndian.AppendUint64(p, id)
@@ -401,7 +412,7 @@ func (j *Journal) Append(meta string, r *record.Record) (uint64, error) {
 	}
 	// The id is consumed even when the write fails: a torn frame may still
 	// replay, and reusing its id for a later record would collide with it.
-	j.nextID++
+	j.hw, j.hwSeg = id, j.segs[len(j.segs)-1].name
 	if err := j.writeFrame(p); err != nil {
 		return 0, err
 	}
@@ -515,16 +526,17 @@ func (j *Journal) rotate() error {
 	return nil
 }
 
-// truncate removes leading sealed segments whose accepts are all acked.
-// Callers hold mu. Removing a segment invalidates the segOf indices, so
-// surviving segments are reindexed.
+// truncate removes leading sealed segments whose accepts are all acked, up
+// to the one holding the high-water id's accept. Callers hold mu. Removing a
+// segment invalidates the segOf indices, so surviving segments are
+// reindexed.
 func (j *Journal) truncate() {
 	sealed := len(j.segs)
 	if j.cur != nil {
 		sealed-- // the open segment is never truncated
 	}
 	drop := 0
-	for drop < sealed && len(j.segs[drop].unacked) == 0 {
+	for drop < sealed && len(j.segs[drop].unacked) == 0 && j.segs[drop].name != j.hwSeg {
 		if err := j.fs.Remove(j.segs[drop].name); err != nil {
 			break
 		}

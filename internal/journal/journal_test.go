@@ -266,3 +266,40 @@ func TestMetaTooLong(t *testing.T) {
 		t.Fatal("oversized meta accepted")
 	}
 }
+
+// TestDeliveryIDsNeverRepeat: session 1 appends and acks ids 1 and 2;
+// session 2 opens — truncation deletes the segment that held them — and
+// appends nothing; session 3 still hands out 3, not 1 again. The same holds
+// when the truncation happens inside a session: the newest accept's segment
+// is sealed by rotation and deleted by its ack while the open segment holds
+// no accept.
+func TestDeliveryIDsNeverRepeat(t *testing.T) {
+	for _, segBytes := range []int{0, 1} {
+		fs := newMemFS()
+		var last uint64
+		for session := 1; session <= 3; session++ {
+			j := openMem(t, fs, segBytes)
+			if len(j.Recovered()) != 0 {
+				t.Fatalf("segment bytes %d, session %d: recovered %v", segBytes, session, entryIDs(j.Recovered()))
+			}
+			if session == 2 {
+				j.Close()
+				continue
+			}
+			for i := 0; i < 2; i++ {
+				id, err := j.Append("", rec(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id != last+1 {
+					t.Fatalf("segment bytes %d, session %d handed out id %d after %d", segBytes, session, id, last)
+				}
+				last = id
+				if err := j.Ack([]uint64{id}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Close()
+		}
+	}
+}

@@ -62,14 +62,7 @@ func TestFixedTopologies(t *testing.T) {
 			return core.SerialAll(inc(1), inc(2), inc(3), inc(4))
 		}},
 		{"fanout-chain", true, func() *core.Entity {
-			fan := core.NewFilter("", core.FilterRule{
-				Pattern: rtype.NewPattern(rtype.NewVariant()),
-				Outputs: []core.FilterOutput{
-					{SetTags: []core.TagAssign{constTag("h", 0)}},
-					{SetTags: []core.TagAssign{constTag("h", 1)}},
-				},
-			})
-			return core.SerialAll(fan, setTag("p", 1), inc(1))
+			return core.SerialAll(fanH(), setTag("p", 1), inc(1))
 		}},
 		{"nested-choice-ties", false, func() *core.Entity {
 			return core.Choice(
@@ -123,14 +116,7 @@ func TestFixedTopologies(t *testing.T) {
 		{"star-chain-fanout", false, func() *core.Entity {
 			// A filter-only operand runs as a chain; with a fan-out of two at
 			// every tap the driver's stack holds records of several depths.
-			fan := core.NewFilter("", core.FilterRule{
-				Pattern: rtype.NewPattern(rtype.NewVariant()),
-				Outputs: []core.FilterOutput{
-					{SetTags: []core.TagAssign{constTag("h", 0)}},
-					{SetTags: []core.TagAssign{constTag("h", 1)}},
-				},
-			})
-			return starWrap("s", fan, 3)
+			return starWrap("s", fanH(), 3)
 		}},
 		{"star-chain-gated-dup-box", false, func() *core.Entity {
 			// Behind a synchrocell the box does not keep a goroutine per
@@ -175,6 +161,23 @@ func TestFixedTopologies(t *testing.T) {
 			// Two emissions per record from an executor, straight into the
 			// split's output.
 			return core.Split(core.Serial(setTag("p", 1), dupBox(1)), "k")
+		}},
+		{"split-executor-star-tail", false, func() *core.Entity {
+			// A stage tree feeding a chained star, the merger idiom's shape:
+			// each key's state block holds the star's chain, walked by
+			// whichever executor has the key, with records of several depths
+			// on its stack.
+			return core.Split(starWrap("s", fanH(), 3), "k")
+		}},
+		{"split-executor-star-hand-off", false, func() *core.Entity {
+			// Every key's cell fires on its first two records and is the
+			// identity from then on, so the box runs ungated and the chain
+			// hands off from inside the executor: a new driver, one more
+			// sender on the split's output, takes the deeper unfoldings.
+			cell := core.NewSync(
+				rtype.NewPattern(rtype.NewVariant(rtype.T("k"))),
+				rtype.NewPattern(rtype.NewVariant(rtype.F("x"))))
+			return core.Split(starWrap("s", core.Serial(cell, inc(1)), 3), "k")
 		}},
 		{"split-in-star-chain", false, func() *core.Entity {
 			// Splits on executors are what each unfolding of the star
@@ -229,6 +232,17 @@ func TestFixedTopologies(t *testing.T) {
 			})
 		}
 	}
+}
+
+// fanH is [ {} -> {<h=0>}; {<h=1>} ], a fan-out of two.
+func fanH() *core.Entity {
+	return core.NewFilter("", core.FilterRule{
+		Pattern: rtype.NewPattern(rtype.NewVariant()),
+		Outputs: []core.FilterOutput{
+			{SetTags: []core.TagAssign{constTag("h", 0)}},
+			{SetTags: []core.TagAssign{constTag("h", 1)}},
+		},
+	})
 }
 
 // merger builds the paper's Fig. 3 merger idiom as a fold: per key <k>, the
@@ -371,20 +385,13 @@ func TestMergerIdiomPlacedTransfers(t *testing.T) {
 // the tree as written agree, with and without the journal.
 func TestSyncCloseBeforeFusedStages(t *testing.T) {
 	build := func() *core.Entity {
-		fan := core.NewFilter("", core.FilterRule{
-			Pattern: rtype.NewPattern(rtype.NewVariant()),
-			Outputs: []core.FilterOutput{
-				{SetTags: []core.TagAssign{constTag("h", 0)}},
-				{SetTags: []core.TagAssign{constTag("h", 1)}},
-			},
-		})
 		return core.SerialAll(
 			setTag("p", 1),
 			// Holds the first a-record; <nv> never comes.
 			core.NewSync(
 				rtype.NewPattern(rtype.NewVariant(rtype.T("a"))),
 				rtype.NewPattern(rtype.NewVariant(rtype.T("nv")))),
-			fan,
+			fanH(),
 			setTag("q", 2))
 	}
 	for _, durable := range []bool{false, true} {
