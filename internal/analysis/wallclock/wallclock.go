@@ -1,8 +1,7 @@
-// Package wallclock enforces the PR-7 testability invariant on the
-// transport and durability layers: production code in snet/internal/wire,
-// snet/internal/stream, and snet/internal/journal must not read the wall
-// clock or create timers directly — all time flows through the injected
-// clock seams (wire.Clock, the stream package's `now` hook,
+// Package wallclock enforces the testability invariant on the transport
+// and durability layers: production code in snet/internal/wire and
+// snet/internal/journal must not read the wall clock or create timers
+// directly — all time flows through the injected clock seams (wire.Clock,
 // journal.Clock), which is what lets the fault detectors (heartbeat
 // sweep, liveness timeout, call deadlines, quarantine cool-down) and the
 // journal's batched-fsync interval be driven by synthetic time in
@@ -28,7 +27,6 @@ import (
 // detectors must be drivable by synthetic time.
 var packages = map[string]bool{
 	"snet/internal/wire":    true,
-	"snet/internal/stream":  true,
 	"snet/internal/journal": true,
 }
 
@@ -50,7 +48,7 @@ var banned = map[string]bool{
 var Analyzer = &framework.Analyzer{
 	Name: "wallclock",
 	Doc: "transport code must route all time through the injected clock seams " +
-		"(wire.Clock, stream's now hook) so fault detectors stay deterministically testable",
+		"(wire.Clock, journal.Clock) so fault detectors stay deterministically testable",
 	Run: run,
 }
 
@@ -82,7 +80,7 @@ func run(pass *framework.Pass) error {
 				return true
 			}
 			pass.Reportf(sel.Pos(), "direct time.%s in %s: route through the injected clock seam "+
-				"(wire.Clock / stream's now hook) so fault detectors stay deterministically testable",
+				"(wire.Clock / journal.Clock) so fault detectors stay deterministically testable",
 				fn.Name(), pass.Path)
 			return true
 		})

@@ -11,5 +11,5 @@ import (
 func TestWallclock(t *testing.T) {
 	analysistest.Run(t, "testdata",
 		[]*framework.Analyzer{wallclock.Analyzer},
-		"snet/internal/wire", "snet/internal/stream", "snet/internal/other")
+		"snet/internal/wire", "snet/internal/other")
 }

@@ -150,7 +150,7 @@ func choiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *Ent
 					}
 					continue
 				}
-				best := pickBranch(env, e, st, cursors, r)
+				best, _ := pickBranch(env, e, st, cursors, r)
 				if best < 0 {
 					continue
 				}
@@ -221,14 +221,16 @@ func (n *selNode) score(st []branchState) int {
 // each level's round-robin cursor exactly as the equivalent nested
 // dispatchers would: ties are counted among this level's best-scoring kids
 // only, the cursor moves only when there is an actual tie, and only the
-// chosen kid is descended into. Returns -1 when nothing matches.
-func (n *selNode) pick(st []branchState, cursors []int) int {
+// chosen kid is descended into. Returns -1 when nothing matches, and
+// whether some level broke a tie (moving its cursor).
+func (n *selNode) pick(st []branchState, cursors []int) (int, bool) {
+	tied := false
 	for {
 		if n.leaf >= 0 {
 			if st[n.leaf].score < 0 {
-				return -1
+				return -1, tied
 			}
-			return n.leaf
+			return n.leaf, tied
 		}
 		best, bestScore, ties := -1, -1, 0
 		for i := range n.kids {
@@ -240,9 +242,10 @@ func (n *selNode) pick(st []branchState, cursors []int) int {
 			}
 		}
 		if best < 0 {
-			return -1
+			return -1, tied
 		}
 		if ties > 1 {
+			tied = true
 			k := cursors[n.id] % ties
 			cursors[n.id]++
 			for i := range n.kids {
@@ -263,21 +266,22 @@ func (n *selNode) pick(st []branchState, cursors []int) int {
 // (BestMatch per branch, cached in st), resolve the winner through e's
 // selector tree, and — when nothing matches — report the record against e,
 // complete its delivery (the drop is sanctioned), reclaim it and return -1.
-// The one implementation under the Choice and DetChoice dispatcher
-// goroutines and the in-stack choice stage of a fused tree.
-func pickBranch(env *Env, e *Entity, st []branchState, cursors []int, r *record.Record) int {
+// tied reports that a round-robin cursor moved (see selNode.pick). The one
+// implementation under the Choice and DetChoice dispatcher goroutines and
+// the in-stack choice stage of a fused tree.
+func pickBranch(env *Env, e *Entity, st []branchState, cursors []int, r *record.Record) (best int, tied bool) {
 	for i, b := range e.kids {
 		_, s := b.sig.In.BestMatch(r)
 		st[i].score = s
 	}
-	best := e.selTree.pick(st, cursors)
+	best, tied = e.selTree.pick(st, cursors)
 	if best < 0 {
 		env.reportRT(e.Name(), ErrCatNoMatch, r.String(), fmt.Errorf(
 			"record %s matches no branch input type", r))
 		env.trackDrop(r)
 		recycle(r)
 	}
-	return best
+	return best, tied
 }
 
 // combName renders a combinator name like (a|b|c) lazily.
@@ -405,11 +409,15 @@ const stopCheckEvery = 64
 
 // chain is the run of unfoldings one driver owns: n consecutive replicas as
 // instantiations of one machine, and the hand-off behind the last of them,
-// if there is one.
+// if there is one. Its first spent unfoldings are spent: every synchrocell
+// in them has fired, so a record that meets no box, filter or choice tie in
+// them crosses them unchanged, and pass lets such a record skip them.
 type chain struct {
-	m    *machine
-	n    int
-	next *stream.Link // hand-off: where replica n-1's output goes
+	m     *machine
+	n     int
+	spent int          // length of the spent prefix, <= n
+	next  *stream.Link // hand-off: where replica n-1's output goes
+	steps int          // unfoldings run, for tests
 }
 
 // chainItem is a record on its way through a chain, in front of the tap of
@@ -474,6 +482,15 @@ func (s *star) drive(in *stream.Link, c chain) {
 // every record that matches it, so unfoldings pipeline. A box that only ever
 // runs on a join runs once per join, and the unfoldings are serial by data
 // dependence.
+//
+// A record skips spent unfoldings. Taps, choice scores and fired cells look
+// only at the record, so when unfolding i puts out the very record it was
+// given, having met no box, no filter, no storing cell and no choice tie (a
+// pure crossing, machine.pure), every spent unfolding behind i would do the
+// same: the record goes straight on to the first unfolding behind i that is
+// not spent — the end of the spent prefix, but with a hand-off no further
+// than replica n-1, whose output goes over it. A reading of a Fig. 3 merger
+// window thus runs three unfoldings, not one per reading folded before it.
 func (s *star) pass(c *chain, work []chainItem) (*record.Record, []chainItem, bool) {
 	env, m := s.env, c.m
 	for steps := 1; len(work) > 0; steps++ {
@@ -502,9 +519,15 @@ func (s *star) pass(c *chain, work []chainItem) (*record.Record, []chainItem, bo
 		// With a hand-off, replica n-1's output leaves over next.
 		last := c.next != nil && i == c.n-1
 		m.use(i)
-		m.joined, m.ranUngated = false, false
+		m.joined, m.ranUngated, m.pure = false, false, true
+		c.steps++
 		if !m.run(m.ent.stages, r, nil) {
 			return nil, work, false
+		}
+		if i == c.spent {
+			for c.spent < c.n && m.fired(c.spent) {
+				c.spent++
+			}
 		}
 		if m.ranUngated && !last {
 			s.handOff(c, i)
@@ -516,8 +539,16 @@ func (s *star) pass(c *chain, work []chainItem) (*record.Record, []chainItem, bo
 			}
 			continue
 		}
-		// The outputs meet the next tap, the first of them first.
-		work = m.pushOuts(work, i+1)
+		// The outputs meet the next tap, the first of them first; a record
+		// that crossed unchanged meets the next one that is not spent.
+		next := i + 1
+		if m.pure && next < c.spent && len(m.call.pending) == 1 && m.call.pending[0] == r {
+			next = c.spent
+			if c.next != nil {
+				next = min(next, c.n-1)
+			}
+		}
+		work = m.pushOuts(work, next)
 	}
 	return nil, work, true
 }
@@ -548,16 +579,23 @@ func (c *chain) close() {
 }
 
 // handOff cuts chain c behind its i-th replica: a new driver takes over the
-// unfoldings behind it — their state, and the hand-off c had — and c's i-th
-// replica puts out over a link to it from now on.
+// unfoldings behind it, and c's i-th replica puts out over a link to it from
+// now on.
 func (s *star) handOff(c *chain, i int) {
-	k := i + 1
-	rest := s.newChain()
-	rest.n, rest.next = c.n-k, c.next
-	c.m.moveState(rest.m, k)
+	rest := c.cut(i + 1)
 	in := s.env.newLink()
-	c.n, c.next = k, in
+	c.next = in
 	s.start(func() { s.drive(in, rest) })
+}
+
+// cut keeps c's first k unfoldings, with no hand-off, and returns the chain
+// of the rest: their state, the part of the spent prefix among them, and the
+// hand-off c had.
+func (c *chain) cut(k int) chain {
+	rest := chain{m: newMachine(c.m.env, c.m.ent), n: c.n - k, spent: max(0, c.spent-k), next: c.next}
+	c.m.moveState(rest.m, k)
+	c.n, c.spent, c.next = k, min(c.spent, k), nil
+	return rest
 }
 
 // At builds the static placement A@node from Distributed S-Net: the operand

@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"snet/internal/journal"
 	"snet/internal/record"
@@ -118,11 +117,6 @@ type Options struct {
 	// (every record is its own channel operation, the pre-batching
 	// behavior). Values above BufferSize are clamped to it.
 	BatchSize int
-	// FlushInterval bounds how long a record may linger in a partial
-	// batch while its receiver is busy. Zero selects
-	// stream.DefaultFlushInterval; a negative value disables the timer
-	// flush (fill-up, downstream-idle and close flushes still apply).
-	FlushInterval time.Duration
 	// Platform is the compute substrate; nil means LocalPlatform.
 	Platform Platform
 	// Placer is the placement policy the dynamic placement sites consult
@@ -407,9 +401,8 @@ func (e *Env) transferBatch(from, to int, rs []*record.Record) {
 // batching, registered for Instance.LinkStats.
 func (e *Env) newLink() *stream.Link {
 	return e.links.alloc(stream.Config{
-		Capacity:      e.opts.BufferSize,
-		BatchSize:     e.opts.BatchSize,
-		FlushInterval: e.opts.FlushInterval,
+		Capacity:  e.opts.BufferSize,
+		BatchSize: e.opts.BatchSize,
 	})
 }
 

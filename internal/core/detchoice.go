@@ -137,7 +137,7 @@ func detChoiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *
 					seq++
 					continue
 				}
-				best := pickBranch(env, e, st, cursors, r)
+				best, _ := pickBranch(env, e, st, cursors, r)
 				if best < 0 {
 					continue
 				}

@@ -207,9 +207,12 @@ type machine struct {
 
 	// joined: a synchrocell has fired in the current pass and no box has run
 	// on what it released yet. ranUngated: a box ran in the current pass on a
-	// record no join released. A chain driver clears both before a pass and
-	// hands off behind a replica whose box ran ungated.
-	joined, ranUngated bool
+	// record no join released. pure: the current pass has met no box and no
+	// filter stage, stored nothing in a synchrocell and broken no choice tie.
+	// A chain driver sets them before a pass, hands off behind a replica whose
+	// box ran ungated and lets a record whose pass was pure skip spent
+	// unfoldings (see star.pass).
+	joined, ranUngated, pure bool
 
 	storedArr [4]*record.Record
 	intArr    [4]int
@@ -256,6 +259,19 @@ func (m *machine) moveState(dst *machine, k int) {
 	clear(m.stored[s:])
 	clear(m.ints[i:])
 	m.stored, m.ints = m.stored[:s], m.ints[:i]
+}
+
+// fired reports whether every synchrocell of instantiation k has fired: the
+// instantiation is the identity on every record that does not meet a box, a
+// filter or a choice tie in it.
+func (m *machine) fired(k int) bool {
+	l := &m.ent.layout
+	for _, f := range m.ints[k*l.ints():][:l.syncs] {
+		if f != syncFired {
+			return false
+		}
+	}
+	return true
 }
 
 // cursors returns the current instantiation's tie cursors from the idx-th on.
@@ -306,7 +322,10 @@ func (m *machine) run(stages []fuseStage, r *record.Record, k *cont) bool {
 	switch {
 	case s.kind == stageChoice:
 		n := len(s.branches)
-		best := pickBranch(m.env, s.ent, m.scores[s.slot:s.slot+n], m.cursors(s.idx), r)
+		best, tied := pickBranch(m.env, s.ent, m.scores[s.slot:s.slot+n], m.cursors(s.idx), r)
+		if tied {
+			m.pure = false
+		}
 		return best < 0 || m.run(s.branches[best], r, s.after)
 	case len(rest) > 0 || k != nil:
 		var buf [frontCap]*record.Record
@@ -337,6 +356,7 @@ func (m *machine) run(stages []fuseStage, r *record.Record, k *cont) bool {
 func (m *machine) step(s *fuseStage, r *record.Record, dst []*record.Record) ([]*record.Record, bool) {
 	switch s.kind {
 	case stageFilter:
+		m.pure = false
 		return runRules(m.env, s.ent, s.rules, r, dst), true
 	case stageSync:
 		return m.syncStep(s, r, dst), true
@@ -362,6 +382,7 @@ func (m *machine) boxCall(s *fuseStage, r *record.Record) bool {
 	call := &m.call
 	call.box = s.box
 	call.base = len(call.pending)
+	m.pure = false
 	matched, ok, dead := s.box.attempt(call, m.exec, r)
 	if matched {
 		m.ranUngated = m.ranUngated || !m.joined

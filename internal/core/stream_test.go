@@ -102,9 +102,8 @@ func TestStopMidBatchLeakFree(t *testing.T) {
 		})
 	e := SerialAll(incBox("a", 1), Choice(slow, Identity()), incBox("b", 1))
 	inst := NewNetwork(e, Options{
-		BufferSize:    1024,
-		BatchSize:     512,
-		FlushInterval: -1, // only fill-up, idle and close flushes
+		BufferSize: 1024,
+		BatchSize:  512,
 	}).Start()
 	for i := 0; i < 100; i++ {
 		if !inst.Send(record.New().SetField("x", i)) {

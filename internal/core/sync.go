@@ -62,6 +62,7 @@ func (m *machine) syncStep(s *fuseStage, r *record.Record, dst []*record.Record)
 	if idx < 0 {
 		return append(dst, r)
 	}
+	m.pure = false
 	stored[idx] = r
 	if *filled++; *filled < len(stored) {
 		return dst

@@ -45,56 +45,57 @@ func TestFixedTopologies(t *testing.T) {
 		name    string
 		ordered bool
 		build   func() *core.Entity
+		inputs  func() []*record.Record // nil: xrecs(18)
 	}{
 		{"serial-filters", true, func() *core.Entity {
 			return core.SerialAll(setTag("p", 1), setTag("q", 2), setTag("r", 3))
-		}},
+		}, nil},
 		{"serial-identities", true, func() *core.Entity {
 			return core.SerialAll(core.Identity(), core.Identity(), core.Identity())
-		}},
+		}, nil},
 		{"identity-box-sandwich", true, func() *core.Entity {
 			return core.SerialAll(core.Identity(), inc(1), core.Identity(), inc(10), core.Identity())
-		}},
+		}, nil},
 		{"filter-box-filter", true, func() *core.Entity {
 			return core.SerialAll(setTag("p", 1), inc(1), setTag("q", 2))
-		}},
+		}, nil},
 		{"box-chain", true, func() *core.Entity {
 			return core.SerialAll(inc(1), inc(2), inc(3), inc(4))
-		}},
+		}, nil},
 		{"fanout-chain", true, func() *core.Entity {
 			return core.SerialAll(fanH(), setTag("p", 1), inc(1))
-		}},
+		}, nil},
 		{"nested-choice-ties", false, func() *core.Entity {
 			return core.Choice(
 				core.Choice(core.Serial(guardX(), setTag("b0", 1)), core.Serial(guardX(), setTag("b1", 1))),
 				core.Serial(guardX(), setTag("b2", 1)))
-		}},
+		}, nil},
 		{"choice-guarded", false, func() *core.Entity {
 			return core.Choice(
 				core.Serial(guardXA(), setTag("ba", 1)),
 				core.Serial(guardX(), setTag("bx", 1)))
-		}},
+		}, nil},
 		{"choice-identity-branch", false, func() *core.Entity {
 			return core.Choice(core.Serial(guardXA(), inc(5)), core.Identity())
-		}},
+		}, nil},
 		{"choice-dominated-branch", false, func() *core.Entity {
 			// After inc, every record matches {x}: the empty-pattern
 			// branch is dominated and pruned; routing must not change.
 			return core.Serial(inc(1), core.Choice(guardX(), core.Identity()))
-		}},
+		}, nil},
 		{"nested-detchoice", true, func() *core.Entity {
 			return core.DetChoice(
 				core.DetChoice(core.Serial(guardX(), setTag("b0", 1)), core.Serial(guardX(), setTag("b1", 1))),
 				core.Serial(guardX(), setTag("b2", 1)))
-		}},
+		}, nil},
 		{"detchoice-identity-branch", true, func() *core.Entity {
 			return core.DetChoice(core.Serial(guardXA(), inc(5)), core.Identity())
-		}},
+		}, nil},
 		{"mixed-det-nondet-choice", false, func() *core.Entity {
 			return core.Choice(
 				core.DetChoice(core.Serial(guardXA(), setTag("da", 1)), core.Serial(guardX(), setTag("dx", 1))),
 				core.Serial(guardX(), setTag("nx", 1)))
-		}},
+		}, nil},
 		{"sync-firing", true, func() *core.Entity {
 			return core.SerialAll(
 				setTag("p", 1),
@@ -103,27 +104,67 @@ func TestFixedTopologies(t *testing.T) {
 					rtype.NewPattern(rtype.NewVariant(rtype.F("x"))),
 				),
 				setTag("q", 2))
-		}},
+		}, nil},
 		{"sync-then-choice-no-pruning", false, func() *core.Entity {
 			// The sync's loose output type must block pruning; dispatch
 			// still has unique winners, so results stay equal.
 			return core.Serial(idleSync(),
 				core.Choice(core.Serial(guardXA(), setTag("ba", 1)), core.Serial(guardX(), setTag("bx", 1))))
-		}},
+		}, nil},
 		{"star-countdown", false, func() *core.Entity {
 			return starWrap("s", core.Serial(setTag("p", 1), inc(1)), 2)
-		}},
+		}, nil},
 		{"star-chain-fanout", false, func() *core.Entity {
 			// A filter-only operand runs as a chain; with a fan-out of two at
 			// every tap the driver's stack holds records of several depths.
 			return starWrap("s", fanH(), 3)
-		}},
+		}, nil},
 		{"star-chain-gated-dup-box", false, func() *core.Entity {
-			// Behind a synchrocell the box does not keep a goroutine per
-			// unfolding: its two emissions cross the chain's worklist, not a
-			// link, and must reach the next tap in emission order.
-			return starWrap("s", gated(core.Serial(guardXA(), dupBox(1))), 3)
-		}},
+			// Every unfolding's cell joins an <a>-record (its x renamed y on
+			// the way in) with the next plain one, and the box runs on the
+			// join only, {x, y} being the join's alone: its two emissions
+			// cross the chain's worklist, not a hand-off link, and leave at
+			// the next tap. What crosses a fired cell takes the identity and
+			// skips the spent unfoldings; only it reaches the next
+			// unfolding, in input order, on the tree as written too.
+			cell := core.NewSync(
+				rtype.NewPattern(rtype.NewVariant(rtype.F("y"))),
+				rtype.NewPattern(rtype.NewVariant(rtype.F("x"))))
+			guardXY := core.NewFilter("", core.FilterRule{
+				Pattern: rtype.NewPattern(rtype.NewVariant(rtype.F("x"), rtype.F("y"))),
+				Outputs: []core.FilterOutput{{CopyFields: []string{"x", "y"}}},
+			})
+			return core.Serial(
+				core.Choice(core.NewFilter("", core.FilterRule{
+					Pattern: rtype.NewPattern(rtype.NewVariant(rtype.F("x"), rtype.T("a"))),
+					Outputs: []core.FilterOutput{{
+						RenameFields: []core.Rename{{From: "x", To: "y"}},
+						CopyTags:     []string{"a"},
+					}},
+				}), core.Identity()),
+				core.Star(
+					core.Serial(cell, core.Choice(core.Serial(guardXY, dupBox(1)), core.Identity())),
+					rtype.NewPattern(rtype.NewVariant(rtype.F("x"), rtype.F("y")))))
+		}, nil},
+		{"star-fold-spent-prefix", false, func() *core.Entity {
+			// The Fig. 3 fold: the accumulator meets one reading per
+			// unfolding, and every unfolding in front of it is spent, so a
+			// reading skips to it. The window closes after nine readings;
+			// the rest come to rest in cells behind the spent prefix.
+			return foldStar(10)
+		}, foldRecs(18)},
+		{"star-chain-spent-tie", false, func() *core.Entity {
+			// Every record ties between [{} -> {<m=1>}] and [] in every
+			// unfolding, fired or not: it skips nothing, so each unfolding's
+			// round-robin cursor counts what reached it — the identity half
+			// of what took the choice one unfolding up, in input order.
+			cell := core.NewSync(
+				rtype.NewPattern(rtype.NewVariant(rtype.T("a"))),
+				rtype.NewPattern(rtype.NewVariant(rtype.T("k"))))
+			return core.Star(
+				core.Serial(cell, core.Choice(setTag("m", 1), core.Identity())),
+				rtype.NewPattern(rtype.NewVariant(rtype.T("m"))))
+		}, nil},
 		{"star-chain-fired-cell-box", false, func() *core.Entity {
 			// The cell of every unfolding fires on its first two records and
 			// is the identity from then on, so the box runs ungated and the
@@ -133,10 +174,10 @@ func TestFixedTopologies(t *testing.T) {
 				rtype.NewPattern(rtype.NewVariant(rtype.T("k"))),
 				rtype.NewPattern(rtype.NewVariant(rtype.F("x"))))
 			return starWrap("s", core.Serial(cell, inc(1)), 3)
-		}},
+		}, nil},
 		{"star-in-star", false, func() *core.Entity {
 			return starWrap("s", starWrap("t", gated(core.Serial(guardXA(), inc(1))), 2), 2)
-		}},
+		}, nil},
 		{"detchoice-over-star-chain", false, func() *core.Entity {
 			// Records carry the det-choice's hidden sequence tag through a
 			// chained star (flow inheritance in its box, the in-place join
@@ -144,10 +185,10 @@ func TestFixedTopologies(t *testing.T) {
 			return core.DetChoice(
 				core.Serial(guardXA(), starWrap("s", gated(core.Serial(guardXA(), inc(1))), 2)),
 				core.Serial(guardX(), setTag("dx", 1)))
-		}},
+		}, nil},
 		{"split", false, func() *core.Entity {
 			return core.Split(core.Serial(setTag("p", 1), inc(1)), "k")
-		}},
+		}, nil},
 		{"split-executor-sync-box", false, func() *core.Entity {
 			// A stage-tree operand: one state block per key on executors.
 			// Every key's cell joins its first <a>-record with the next
@@ -156,19 +197,19 @@ func TestFixedTopologies(t *testing.T) {
 				rtype.NewPattern(rtype.NewVariant(rtype.T("a"))),
 				rtype.NewPattern(rtype.NewVariant(rtype.F("x"))))
 			return core.Split(core.Serial(cell, inc(1)), "k")
-		}},
+		}, nil},
 		{"split-executor-fanout-box", false, func() *core.Entity {
 			// Two emissions per record from an executor, straight into the
 			// split's output.
 			return core.Split(core.Serial(setTag("p", 1), dupBox(1)), "k")
-		}},
+		}, nil},
 		{"split-executor-star-tail", false, func() *core.Entity {
 			// A stage tree feeding a chained star, the merger idiom's shape:
 			// each key's state block holds the star's chain, walked by
 			// whichever executor has the key, with records of several depths
 			// on its stack.
 			return core.Split(starWrap("s", fanH(), 3), "k")
-		}},
+		}, nil},
 		{"split-executor-star-hand-off", false, func() *core.Entity {
 			// Every key's cell fires on its first two records and is the
 			// identity from then on, so the box runs ungated and the chain
@@ -178,22 +219,22 @@ func TestFixedTopologies(t *testing.T) {
 				rtype.NewPattern(rtype.NewVariant(rtype.T("k"))),
 				rtype.NewPattern(rtype.NewVariant(rtype.F("x"))))
 			return core.Split(starWrap("s", core.Serial(cell, inc(1)), 3), "k")
-		}},
+		}, nil},
 		{"split-in-star-chain", false, func() *core.Entity {
 			// Splits on executors are what each unfolding of the star
 			// instantiates (a split is no stage tree, so this star spawns
 			// its operand per unfolding); the cells behind the box never
 			// fire, so every key's state block holds nothing at close.
 			return starWrap("s", core.Split(core.Serial(inc(1), idleSync()), "k"), 3)
-		}},
+		}, nil},
 		{"detsplit", true, func() *core.Entity {
 			return core.DetSplit(core.Serial(setTag("p", 1), inc(1)), "k")
-		}},
+		}, nil},
 		{"split-of-choice", false, func() *core.Entity {
 			return core.Split(core.Choice(
 				core.Serial(guardXA(), setTag("ba", 1)),
 				core.Serial(guardX(), setTag("bx", 1))), "k")
-		}},
+		}, nil},
 		{"choice-over-box-budget", false, func() *core.Entity {
 			// Random seed 14: a choice whose branches hold two boxes between
 			// them is over the fusion budget all by itself; the run scan must
@@ -201,7 +242,7 @@ func TestFixedTopologies(t *testing.T) {
 			return core.Serial(
 				core.Choice(core.Serial(guardX(), inc(2)), core.Serial(guardX(), inc(2))),
 				inc(3))
-		}},
+		}, nil},
 		{"fused-choice-ties-in-chain", false, func() *core.Entity {
 			// Equal-score branches inside a fused chain: record i must take
 			// the branch the dispatcher goroutine's round-robin cursor would
@@ -211,7 +252,7 @@ func TestFixedTopologies(t *testing.T) {
 				setTag("p", 1),
 				core.Choice(core.Serial(guardX(), setTag("b0", 1)), core.Serial(guardX(), setTag("b1", 1))),
 				setTag("q", 2))
-		}},
+		}, nil},
 		{"deep-mixed", false, func() *core.Entity {
 			return core.SerialAll(
 				setTag("p", 1),
@@ -220,7 +261,7 @@ func TestFixedTopologies(t *testing.T) {
 					core.Serial(guardX(), starWrap("s", inc(2), 1))),
 				core.Identity(),
 				setTag("q", 2))
-		}},
+		}, nil},
 	}
 	// Each topology runs plain and over an ingress journal: whatever the
 	// optimizer made of the tree, every delivery completes and nothing is
@@ -228,7 +269,11 @@ func TestFixedTopologies(t *testing.T) {
 	for _, tc := range cases {
 		for _, durable := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/durable=%v", tc.name, durable), func(t *testing.T) {
-				Check(t, tc.build(), Config{Ordered: tc.ordered, Durable: durable}, xrecs(18))
+				inputs := tc.inputs
+				if inputs == nil {
+					inputs = xrecs(18)
+				}
+				Check(t, tc.build(), Config{Ordered: tc.ordered, Durable: durable}, inputs)
 			})
 		}
 	}
@@ -258,6 +303,21 @@ func merger() *core.Entity {
 			c.Emit(record.New().SetField("acc", c.Field("x")))
 			return nil
 		})
+	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("cnt"), rtype.T("win"))).
+		WithGuard(func(r *record.Record) bool {
+			c, _ := r.Tag("cnt")
+			w, _ := r.Tag("win")
+			return c == w
+		}, "<cnt> == <win>")
+	return core.Split(core.Serial(
+		core.Choice(core.Serial(seed, setTag("cnt", 1)), core.Identity()),
+		core.Star(foldBody(), exit)), "k")
+}
+
+// foldBody is the merger idiom's star operand: a synchrocell pairs the
+// accumulator <cnt> {acc} with a reading {x}, the fold box adds it and a
+// filter counts; what the cell passes takes the identity.
+func foldBody() *core.Entity {
 	fold := core.NewBox("fold",
 		core.MustSig([]rtype.Label{rtype.F("acc"), rtype.F("x")}, []rtype.Label{rtype.F("acc")}),
 		func(c *core.BoxCall) error {
@@ -272,20 +332,29 @@ func merger() *core.Entity {
 			Src:  "cnt+=1",
 		}}}},
 	})
-	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("cnt"), rtype.T("win"))).
-		WithGuard(func(r *record.Record) bool {
-			c, _ := r.Tag("cnt")
-			w, _ := r.Tag("win")
-			return c == w
-		}, "<cnt> == <win>")
-	body := core.Serial(
+	return core.Serial(
 		core.NewSync(
 			rtype.NewPattern(rtype.NewVariant(rtype.F("acc"))),
 			rtype.NewPattern(rtype.NewVariant(rtype.F("x")))),
 		core.Choice(core.Serial(fold, count), core.Identity()))
-	return core.Split(core.Serial(
-		core.Choice(core.Serial(seed, setTag("cnt", 1)), core.Identity()),
-		core.Star(body, exit)), "k")
+}
+
+// foldStar is merger's star standing alone, leaving when <cnt> reaches win.
+func foldStar(win int) *core.Entity {
+	exit := rtype.NewPattern(rtype.NewVariant(rtype.T("cnt"))).
+		WithGuard(func(r *record.Record) bool { c, _ := r.Tag("cnt"); return c >= win }, fmt.Sprintf("<cnt> >= %d", win))
+	return core.Star(foldBody(), exit)
+}
+
+// foldRecs is an accumulator <cnt=1> {acc=100} and n-1 readings {x=i}.
+func foldRecs(n int) func() []*record.Record {
+	return func() []*record.Record {
+		ins := []*record.Record{record.Build().F("acc", 100).T("cnt", 1).Rec()}
+		for i := 1; i < n; i++ {
+			ins = append(ins, record.Build().F("x", i).Rec())
+		}
+		return ins
+	}
 }
 
 // mergerInputs is three keys' windows of unfold+1 readings each,

@@ -12,9 +12,6 @@
 //   - fill-up: the batch has reached the configured batch size;
 //   - downstream-idle: the receiver is blocked waiting for records, so
 //     holding the batch back would add pure latency for no throughput win;
-//   - timer: the oldest record in the batch has lingered past the
-//     configured flush interval (a sender that keeps trickling records
-//     into a busy link cannot delay them indefinitely);
 //   - close: Close flushes whatever is pending before closing the link.
 //
 // In addition, a receiver that finds the batch queue empty steals the
@@ -22,9 +19,10 @@
 // blocking. Stealing is what makes batching deadlock-free: a record parked
 // in a partial batch whose sender has gone on to block elsewhere — on its
 // own input, on a platform CPU slot — is still reachable by the consumer
-// that needs it to make progress, with FIFO order preserved. It also means
-// latency-sensitive networks are not penalized: an idle consumer never
-// waits out a timer for a record that already exists.
+// that needs it to make progress, with FIFO order preserved. It also bounds
+// how long a record lingers in a partial batch without a clock: a busy
+// receiver comes back for it the moment its queue runs dry, and an idle one
+// takes it at once.
 //
 // # Ownership and lifecycle
 //
@@ -45,25 +43,13 @@ package stream
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"snet/internal/record"
 )
 
-// Default configuration, used by Config.Normalize for zero values.
-const (
-	// DefaultBatchSize is the records-per-batch ceiling when Config leaves
-	// BatchSize zero.
-	DefaultBatchSize = 16
-	// DefaultFlushInterval bounds how long a record may linger in a
-	// partial batch while the receiver is busy, when Config leaves
-	// FlushInterval zero.
-	DefaultFlushInterval = 200 * time.Microsecond
-)
-
-// now is the package's clock seam: the linger-flush deadline reads time
-// through it so tests can pin flush-latency decisions to synthetic time.
-var now = time.Now //lint:reason default real-time binding of the clock seam
+// DefaultBatchSize is the records-per-batch ceiling when Config leaves
+// BatchSize zero (Config.Normalize).
+const DefaultBatchSize = 16
 
 // Config fixes a Link's batching behavior at creation time.
 type Config struct {
@@ -77,11 +63,6 @@ type Config struct {
 	// than the link may buffer would be meaningless). One disables
 	// batching.
 	BatchSize int
-	// FlushInterval is the timer flush bound: a partial batch whose
-	// oldest record has lingered this long is flushed by the next send.
-	// Zero selects DefaultFlushInterval; negative disables the timer
-	// (fill-up, downstream-idle and close flushes still apply).
-	FlushInterval time.Duration
 }
 
 // Normalize resolves zero values to defaults and returns the effective
@@ -99,12 +80,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.Capacity > 0 && c.BatchSize > c.Capacity {
 		c.BatchSize = c.Capacity
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = DefaultFlushInterval
-	}
-	if c.FlushInterval < 0 {
-		c.FlushInterval = 0
 	}
 	return c
 }
@@ -128,27 +103,23 @@ var batchPool = sync.Pool{New: func() any {
 // receiver, records delivered in batches. The zero value is not usable;
 // construct with NewLink.
 type Link struct {
-	batch  int           // max records per batch
-	linger time.Duration // timer flush bound; 0 = disabled
+	batch int // max records per batch
 
 	ch chan *Batch // the batch queue
 
-	mu          sync.Mutex
-	flushCond   sync.Cond // signals the flush slot free (see awaitFlushSlot)
-	pend        *Batch    // accumulating batch (nil when empty)
-	pendAt      time.Time // start of the pending batch's linger window
-	pendStamped bool      // pendAt is set for the current pending batch
-	flushing    int       // batches detached but not yet in ch
-	rwaiting    bool      // receiver is blocked waiting for a batch
-	senders     int       // registered senders that have not closed yet
-	closed      bool
+	mu        sync.Mutex
+	flushCond sync.Cond // signals the flush slot free (see awaitFlushSlot)
+	pend      *Batch    // accumulating batch (nil when empty)
+	flushing  int       // batches detached but not yet in ch
+	rwaiting  bool      // receiver is blocked waiting for a batch
+	senders   int       // registered senders that have not closed yet
+	closed    bool
 
 	// Sender-side counters, guarded by mu (the send path holds it anyway).
 	sent        int64 // records accepted by Send/SendMany/SendBatch
 	sentBatches int64 // batches delivered to the queue (incl. steals)
 	fullFlushes int64
 	idleFlushes int64
-	timeFlushes int64
 	steals      int64
 
 	// Receiver-side state: the single-receiver contract makes these
@@ -189,7 +160,6 @@ func (l *Link) Init(cfg Config) {
 		}
 	}
 	l.batch = cfg.BatchSize
-	l.linger = cfg.FlushInterval
 	l.ch = make(chan *Batch, chCap)
 	l.flushCond.L = &l.mu
 	l.senders = 1
@@ -336,29 +306,13 @@ func (l *Link) SendBatch(b *Batch, done <-chan struct{}) bool {
 }
 
 // flushCause decides whether the pending batch must be flushed now and
-// returns the counter to credit, or nil. The linger window opens the
-// first time a pending batch survives this check without flushing
-// (pendStamped) — so the degenerate regime (every record flushed
-// immediately to an idle receiver) never reads the clock — and is
-// re-probed only when the pending count is a multiple of four rather
-// than on every append: the clock read is a measurable share of the
-// per-hop cost, and a quarter-batch of slack on a deliberately coarse
-// deadline is invisible (the timer is a staleness bound, not a
-// scheduler). Callers hold mu.
+// returns the counter to credit, or nil. Callers hold mu.
 func (l *Link) flushCause() *int64 {
-	n := len(l.pend.Recs)
 	switch {
-	case n >= l.batch:
+	case len(l.pend.Recs) >= l.batch:
 		return &l.fullFlushes
 	case l.rwaiting:
 		return &l.idleFlushes
-	case l.linger > 0:
-		if !l.pendStamped {
-			l.pendAt = now()
-			l.pendStamped = true
-		} else if n&3 == 0 && now().Sub(l.pendAt) >= l.linger {
-			return &l.timeFlushes
-		}
 	}
 	return nil
 }
@@ -391,7 +345,6 @@ func (l *Link) flushPend(done <-chan struct{}, cause *int64) bool {
 	}
 	b := l.pend
 	l.pend = nil
-	l.pendStamped = false
 	ok := l.deliver(b, done)
 	if ok {
 		*cause++
@@ -416,7 +369,6 @@ func (l *Link) deliver(b *Batch, done <-chan struct{}) bool {
 	for ok && l.flushing == 0 && l.rwaiting && l.pend != nil && len(l.pend.Recs) > 0 {
 		nb := l.pend
 		l.pend = nil
-		l.pendStamped = false
 		if ok = l.push(nb, done); ok {
 			l.idleFlushes++
 			l.sentBatches++
@@ -560,7 +512,6 @@ func (l *Link) nextBatch(done <-chan struct{}) (*Batch, bool) {
 		// and the queue is empty, so this preserves FIFO order.
 		b := l.pend
 		l.pend = nil
-		l.pendStamped = false
 		l.steals++
 		l.sentBatches++
 		l.recvd.Add(int64(len(b.Recs)))
@@ -598,10 +549,11 @@ type Stats struct {
 	// batch size RecvRecords/SentBatches is the amortization factor the
 	// link achieved.
 	SentBatches int64
-	// Flush-cause breakdown: batches flushed because they filled up,
-	// because the receiver was idle, or because the oldest record
-	// lingered past the flush interval. Steals counts partial batches
-	// the receiver took directly. IdleFlushes is overloaded by
+	// Flush-cause breakdown: batches flushed because they filled up or
+	// because the receiver was idle. TimerFlushes is always zero: links
+	// have no timer flush, and the field stays for code that reads the
+	// whole breakdown. Steals counts partial batches the receiver took
+	// directly. IdleFlushes is overloaded by
 	// convention with the flushes that exist for ordering rather than
 	// latency: the close flush and SendBatch's order-preserving
 	// pre-flush of the pending batch are credited here whether or not
@@ -617,12 +569,11 @@ type Stats struct {
 func (l *Link) Stats() Stats {
 	l.mu.Lock()
 	s := Stats{
-		SentRecords:  l.sent,
-		SentBatches:  l.sentBatches,
-		FullFlushes:  l.fullFlushes,
-		IdleFlushes:  l.idleFlushes,
-		TimerFlushes: l.timeFlushes,
-		Steals:       l.steals,
+		SentRecords: l.sent,
+		SentBatches: l.sentBatches,
+		FullFlushes: l.fullFlushes,
+		IdleFlushes: l.idleFlushes,
+		Steals:      l.steals,
 	}
 	l.mu.Unlock()
 	s.RecvRecords = l.recvd.Load()

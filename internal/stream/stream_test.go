@@ -51,8 +51,8 @@ func TestFIFOAcrossBatchSizes(t *testing.T) {
 
 func TestIdleFlushDeliversImmediately(t *testing.T) {
 	// A receiver already blocked on an empty link must get the very next
-	// record without waiting for fill-up or the (deliberately huge) timer.
-	l := NewLink(Config{Capacity: 64, BatchSize: 64, FlushInterval: time.Hour})
+	// record without waiting for fill-up.
+	l := NewLink(Config{Capacity: 64, BatchSize: 64})
 	done := make(chan struct{})
 	got := make(chan int, 1)
 	ready := make(chan struct{})
@@ -89,7 +89,7 @@ func TestIdleFlushDeliversImmediately(t *testing.T) {
 func TestReceiverStealsPartialBatch(t *testing.T) {
 	// Records parked in a partial batch are reachable by a receiver that
 	// arrives later, even though no further send will ever flush them.
-	l := NewLink(Config{Capacity: 64, BatchSize: 16, FlushInterval: time.Hour})
+	l := NewLink(Config{Capacity: 64, BatchSize: 16})
 	done := make(chan struct{})
 	for i := 0; i < 3; i++ {
 		if !l.Send(mk(i), done) {
@@ -107,37 +107,8 @@ func TestReceiverStealsPartialBatch(t *testing.T) {
 	}
 }
 
-func TestTimerFlush(t *testing.T) {
-	// A trickling sender whose receiver never goes idle: the linger
-	// deadline must push partial batches out. The receiver is kept
-	// "non-idle" by never blocking before records exist.
-	l := NewLink(Config{Capacity: 256, BatchSize: 64, FlushInterval: time.Microsecond})
-	done := make(chan struct{})
-	// The timer is probed every fourth append; with a 1µs linger the
-	// fourth record's append must flush the batch of four.
-	for i := 0; i < 4; i++ {
-		if !l.Send(mk(i), done) {
-			t.Fatal("Send refused")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := l.Stats(); st.TimerFlushes == 0 {
-		t.Fatalf("expected a timer flush, stats: %+v", st)
-	} else if st.SentBatches == 0 || st.SentRecords != 4 {
-		t.Fatalf("stats inconsistent: %+v", st)
-	}
-	// The flushed batch is in the queue; a receiver drains it without any
-	// sender involvement.
-	for i := 0; i < 4; i++ {
-		r, ok := l.Recv(done)
-		if !ok || val(t, r) != i {
-			t.Fatalf("timer-flushed record %d lost (ok=%v)", i, ok)
-		}
-	}
-}
-
 func TestCloseFlushesPending(t *testing.T) {
-	l := NewLink(Config{Capacity: 64, BatchSize: 16, FlushInterval: -1})
+	l := NewLink(Config{Capacity: 64, BatchSize: 16})
 	done := make(chan struct{})
 	for i := 0; i < 5; i++ {
 		l.Send(mk(i), done)
@@ -193,7 +164,7 @@ func TestDoneUnblocksSenderAndReceiver(t *testing.T) {
 }
 
 func TestSendBatchOrderedAfterPending(t *testing.T) {
-	l := NewLink(Config{Capacity: 64, BatchSize: 16, FlushInterval: time.Hour})
+	l := NewLink(Config{Capacity: 64, BatchSize: 16})
 	done := make(chan struct{})
 	l.Send(mk(0), done) // parked in pend
 	b := &Batch{Recs: []*record.Record{mk(1), mk(2)}}
@@ -238,8 +209,8 @@ func TestConcurrentSendersDeliverEverything(t *testing.T) {
 	// to let a preempted sender's detached batch be overtaken by a newer
 	// one, breaking per-sender FIFO within seconds under -race.
 	for _, cfg := range []Config{
-		{Capacity: 32, BatchSize: 8, FlushInterval: time.Millisecond},
-		{Capacity: 2, BatchSize: 2, FlushInterval: time.Millisecond},
+		{Capacity: 32, BatchSize: 8},
+		{Capacity: 2, BatchSize: 2},
 	} {
 		testConcurrentSenders(t, cfg)
 	}
@@ -324,12 +295,10 @@ func TestSendManySpansBatches(t *testing.T) {
 }
 
 func TestSendManyAccumulatesAcrossBursts(t *testing.T) {
-	// Regression: SendMany bursts must accumulate toward a full batch
-	// while the receiver is busy. A stale (never-stamped) linger
-	// timestamp used to fire a spurious timer flush at the end of every
-	// burst whose pending count hit a multiple of four, capping batches
-	// at burst size and defeating the amortization.
-	l := NewLink(Config{Capacity: 256, BatchSize: 16, FlushInterval: time.Hour})
+	// SendMany bursts must accumulate toward a full batch while the
+	// receiver is busy: a flush at the end of every burst would cap
+	// batches at burst size and defeat the amortization.
+	l := NewLink(Config{Capacity: 256, BatchSize: 16})
 	done := make(chan struct{})
 	for burst := 0; burst < 3; burst++ {
 		rs := make([]*record.Record, 4)
@@ -341,8 +310,8 @@ func TestSendManyAccumulatesAcrossBursts(t *testing.T) {
 		}
 	}
 	st := l.Stats()
-	if st.SentBatches != 0 || st.TimerFlushes != 0 {
-		t.Fatalf("12 records under a 16-batch with an hour linger flushed early: %+v", st)
+	if st.SentBatches != 0 {
+		t.Fatalf("12 records under a 16-batch flushed early: %+v", st)
 	}
 	// A fourth burst crosses the batch size and must flush full.
 	rs := make([]*record.Record, 4)
@@ -387,7 +356,7 @@ func TestSynchronousConfig(t *testing.T) {
 }
 
 func TestStatsFlushBreakdown(t *testing.T) {
-	l := NewLink(Config{Capacity: 64, BatchSize: 2, FlushInterval: -1})
+	l := NewLink(Config{Capacity: 64, BatchSize: 2})
 	done := make(chan struct{})
 	for i := 0; i < 6; i++ {
 		l.Send(mk(i), done)
@@ -445,7 +414,7 @@ func TestLinkSendersCloseOnce(t *testing.T) {
 	}
 
 	// A non-final close flushes; only the final one ends the stream.
-	l = NewLink(Config{Capacity: 64, BatchSize: 16, FlushInterval: -1})
+	l = NewLink(Config{Capacity: 64, BatchSize: 16})
 	l.AddSender(1)
 	if !l.Send(mk(7), done) {
 		t.Fatal("Send refused")

@@ -130,8 +130,8 @@ type (
 	// BoxFunc is the body of a box.
 	BoxFunc = core.BoxFunc
 	// Options configure a network instantiation: the platform, stream
-	// capacity (BufferSize, in records), transport batching (BatchSize,
-	// FlushInterval — see docs/performance.md), the placement policy
+	// capacity (BufferSize, in records), transport batching (BatchSize —
+	// see docs/performance.md), the placement policy
 	// (Placer) and work stealing (WorkStealing — see docs/performance.md
 	// "Scheduling & placement"), the instantiation-time optimizer
 	// (Optimize — see OptimizeLevel), runtime type checking, synchrocell
@@ -273,17 +273,10 @@ const (
 	OptimizeOff = core.OptimizeOff
 )
 
-// Batched-transport defaults, selected when the corresponding Options
-// field is zero (see docs/performance.md for the model and tuning).
-const (
-	// DefaultBatchSize is the records-per-batch ceiling of every stream
-	// link when Options.BatchSize is zero.
-	DefaultBatchSize = stream.DefaultBatchSize
-	// DefaultFlushInterval bounds how long a record may linger in a
-	// partial batch behind a busy consumer when Options.FlushInterval is
-	// zero.
-	DefaultFlushInterval = stream.DefaultFlushInterval
-)
+// DefaultBatchSize is the records-per-batch ceiling of every stream link
+// when Options.BatchSize is zero (see docs/performance.md for the model and
+// tuning).
+const DefaultBatchSize = stream.DefaultBatchSize
 
 // MustSig builds a single-input-variant signature from label lists.
 func MustSig(in []Label, outs ...[]Label) Signature { return core.MustSig(in, outs...) }
